@@ -37,6 +37,7 @@ from .relativized import (
 )
 from .equivalence import (
     Verdict,
+    VerificationError,
     Witness,
     brute_force_oracle,
     build_strong_witness,
@@ -73,6 +74,7 @@ __all__ = [
     "SweepReport",
     "Universe",
     "Verdict",
+    "VerificationError",
     "Witness",
     "a_minimal_models",
     "answer_sets",

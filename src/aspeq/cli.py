@@ -172,6 +172,7 @@ def _verdict_json(v: Verdict, uni: Universe) -> dict:
         "mode": v.mode,
         "alphabet": list(uni.decode(v.alphabet)),
         "equivalent": v.equivalent,
+        "method": v.method,
         "witness": None,
     }
     if v.witness is not None:

@@ -10,7 +10,7 @@ by direct answer-set computation before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .semantics import (
@@ -23,18 +23,15 @@ from .semantics import (
     reduct,
     submasks,
 )
-from .relativized import (
-    ASEPair,
-    _y_is_a_minimal_for_reduct,
-    ase_check_normal,
-    ase_models,
-    aue_check_hcf,
-    aue_models,
-    valid_shape,
-)
-from .syntax import Program, Rule, bits, facts_program
+from .relativized import ASEPair, _y_is_a_minimal_for_reduct, ase_models, aue_models
+from .syntax import Program, Rule, Universe, bits, facts_program
 
 MODES = ("ordinary", "strong", "uniform", "rel-strong", "rel-uniform")
+METHODS = ("auto", "generic", "horn")
+
+
+class VerificationError(Exception):
+    """A witness failed re-verification by direct answer-set computation."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +51,8 @@ class Verdict:
     mode: str
     alphabet: int
     witness: Optional[Witness]
+    # route taken by a relativized or Horn decider; None for the others
+    method: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -64,8 +63,9 @@ class Verdict:
 
 def _check_witness(p: Program, q: Program, w: Witness) -> None:
     keeper, loser = (p, q) if w.side == "left" else (q, p)
-    assert w.distinguishing in answer_sets(keeper | w.context), "witness failed re-verification"
-    assert w.distinguishing not in answer_sets(loser | w.context), "witness failed re-verification"
+    kept = w.distinguishing in answer_sets(keeper | w.context)
+    if not kept or w.distinguishing in answer_sets(loser | w.context):
+        raise VerificationError("witness failed re-verification")
 
 
 def _shared(p: Program, q: Program) -> None:
@@ -85,29 +85,26 @@ def decide_ordinary(p: Program, q: Program) -> Verdict:
     return Verdict(False, "ordinary", 0, w)
 
 
-def _ase_set(p: Program, a: int, over: int, method: str) -> set[ASEPair]:
-    if method == "normal":
-        return set(_pairs_by_check(p, a, over, lambda pr: ase_check_normal(p, pr, over)))
-    return set(ase_models(p, a, over))
+def _route(p: Program, q: Program, a: int, method: str) -> str:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    if method == "auto":
+        return "horn" if is_horn(p) and is_horn(q) and a.bit_count() <= 20 else "generic"
+    return method
 
 
-def _aue_set(p: Program, a: int, over: int, method: str) -> set[ASEPair]:
-    if method == "hcf":
-        return set(_pairs_by_check(p, a, over, lambda pr: aue_check_hcf(p, pr, over)))
-    return set(aue_models(p, a, over))
+def _pairs_by_check(a: int, over: int, member) -> list[ASEPair]:
+    """Every candidate A-pair over ``over`` that passes ``member``.
 
-
-def _pairs_by_check(p: Program, a: int, over: int, member) -> list[ASEPair]:
+    No decider uses it: it lists the pairs that a per-pair membership test
+    (``ase_check_normal``, ``aue_check_hcf``) accepts, for comparison with
+    the enumerated models.  The traced benchmark run wraps it by name.
+    """
     check_capacity(over)
     out = []
     for y in submasks(over):
-        total = ASEPair(y, y, a)
-        if member(total):
-            out.append(total)
         ya = y & a
-        for x in submasks(ya):
-            if x == ya:
-                continue
+        for x in [y] + [x for x in submasks(ya) if x != ya]:
             pr = ASEPair(x, y, a)
             if member(pr):
                 out.append(pr)
@@ -117,53 +114,31 @@ def _pairs_by_check(p: Program, a: int, over: int, member) -> list[ASEPair]:
 def decide_rel_strong(p: Program, q: Program, a: int, method: str = "auto") -> Verdict:
     """Strong equivalence relative to the alphabet ``a``.
 
-    ``method``: "generic" enumerates A-SE-models from the definition,
-    "normal" uses the polynomial membership test (both programs normal),
-    "horn" runs the fact-extension decision for Horn programs, "auto"
-    picks for itself.
+    ``method``: "generic" compares the enumerated A-SE-models, "horn" runs
+    the fact-extension decision for Horn programs, and "auto" takes "horn"
+    when both programs are Horn and "generic" otherwise.
     """
     _shared(p, q)
     over = p.var | q.var
     a &= over
-    if method == "auto":
-        if is_horn(p) and is_horn(q) and a.bit_count() <= 20:
-            method = "horn"
-        elif all(r.head.bit_count() <= 1 for pr in (p, q) for r in pr.rules):
-            method = "normal"
-        else:
-            method = "generic"
-    if method == "horn":
+    if _route(p, q, a, method) == "horn":
         return decide_horn_rel(p, q, a, mode="rel-strong")
-    if _ase_set(p, a, over, method) == _ase_set(q, a, over, method):
-        return Verdict(True, "rel-strong", a, None)
-    return Verdict(False, "rel-strong", a, build_strong_witness(p, q, a))
+    if ase_models(p, a, over) == ase_models(q, a, over):
+        return Verdict(True, "rel-strong", a, None, "generic")
+    return Verdict(False, "rel-strong", a, build_strong_witness(p, q, a), "generic")
 
 
-def decide_rel_uniform(
-    p: Program, q: Program, a: int, method: str = "auto", cross_check: bool = False
-) -> Verdict:
-    """Uniform equivalence relative to ``a`` via A-UE-model comparison."""
+def decide_rel_uniform(p: Program, q: Program, a: int, method: str = "auto") -> Verdict:
+    """Uniform equivalence relative to ``a`` via A-UE-model comparison;
+    ``method`` as for ``decide_rel_strong``."""
     _shared(p, q)
     over = p.var | q.var
     a &= over
-    if method == "auto":
-        if is_horn(p) and is_horn(q) and a.bit_count() <= 20:
-            method = "horn"
-        else:
-            from .transforms import is_hcf
-
-            method = "hcf" if is_hcf(p) and is_hcf(q) else "generic"
-    if method == "horn":
+    if _route(p, q, a, method) == "horn":
         return decide_horn_rel(p, q, a, mode="rel-uniform")
-    up, uq = _aue_set(p, a, over, method), _aue_set(q, a, over, method)
-    equal = up == uq
-    if cross_check:
-        sp, sq = set(ase_models(p, a, over)), set(ase_models(q, a, over))
-        contained = up <= sq and uq <= sp
-        assert contained == equal, "containment characterization disagrees"
-    if equal:
-        return Verdict(True, "rel-uniform", a, None)
-    return Verdict(False, "rel-uniform", a, build_uniform_witness(p, q, a))
+    if aue_models(p, a, over) == aue_models(q, a, over):
+        return Verdict(True, "rel-uniform", a, None, "generic")
+    return Verdict(False, "rel-uniform", a, build_uniform_witness(p, q, a), "generic")
 
 
 def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
@@ -255,8 +230,8 @@ def decide_horn_rel(p: Program, q: Program, a: int, mode: str = "rel-uniform") -
             d = lp if lp is not None else lq
             w = Witness(ctx, d, "left" if lp is not None else "right")
             _check_witness(p, q, w)
-            return Verdict(False, mode, a, w)
-    return Verdict(True, mode, a, None)
+            return Verdict(False, mode, a, w, "horn")
+    return Verdict(True, mode, a, None, "horn")
 
 
 def decide_horn_bounded(p: Program, q: Program, a: int, mode: str = "rel-uniform") -> Verdict:
@@ -279,23 +254,23 @@ def decide_horn_bounded(p: Program, q: Program, a: int, mode: str = "rel-uniform
         raise ValueError("too many atoms outside the alphabet")
     if a_eff.bit_count() > 20:
         raise ValueError("alphabet too large")
-    prime = _prime_map(p.universe, v, avoid=over)
-    ok = _horn_direction(p, q, a_eff, v, prime) and _horn_direction(q, p, a_eff, v, prime)
-    if ok:
-        return Verdict(True, mode, a_eff, None)
-    return Verdict(False, mode, a_eff, build_uniform_witness(p, q, a_eff))
+    scratch, prime = _prime_map(p.universe, v)
+    if all(_horn_direction(f, s, a_eff, v, scratch, prime) for f, s in ((p, q), (q, p))):
+        return Verdict(True, mode, a_eff, None, "horn-bounded")
+    return Verdict(False, mode, a_eff, build_uniform_witness(p, q, a_eff), "horn-bounded")
 
 
-def _prime_map(universe, v: int, avoid: int) -> dict[int, int]:
-    # renamed-apart copies of the V-atoms; names already interned by an
-    # earlier call are reused as long as they stay clear of `avoid`
+def _prime_map(universe: Universe, v: int) -> tuple[Universe, dict[int, int]]:
+    # renamed-apart copies of the V-atoms, interned into a private copy of
+    # the universe so that the caller's stays as it was
+    scratch = Universe(universe.names)
     mapping = {}
     for i in bits(v):
         fresh = universe.names[i] + "_r"
-        while fresh in universe.index and (avoid >> universe.index[fresh]) & 1:
+        while fresh in scratch.index:
             fresh += "_r"
-        mapping[i] = universe.intern(fresh)
-    return mapping
+        mapping[i] = scratch.intern(fresh)
+    return scratch, mapping
 
 
 def _rename(p: Program, v: int, prime: dict[int, int]) -> frozenset[Rule]:
@@ -308,10 +283,12 @@ def _rename(p: Program, v: int, prime: dict[int, int]) -> frozenset[Rule]:
     return frozenset(Rule(remap(r.head), remap(r.pos), remap(r.neg)) for r in p.rules)
 
 
-def _horn_direction(first: Program, second: Program, a: int, v: int, prime: dict[int, int]) -> bool:
+def _horn_direction(
+    first: Program, second: Program, a: int, v: int, uni: Universe, prime: dict[int, int]
+) -> bool:
     # every model of `first` must shrink, inside its own V-part and with the
-    # alphabet part untouched, to a model of `second`
-    uni = first.universe
+    # alphabet part untouched, to a model of `second`; `uni` holds the
+    # renamed copies
     renamed = _rename(first, v, prime)
     for u in submasks(v):
         pinned_u = {Rule(1 << prime[i], 0, 0) for i in bits(u)}

@@ -2,8 +2,8 @@
 
 An A-SE-interpretation is a pair (X, Y) with X = Y or X a strict subset of
 Y ∩ A.  Membership tests come in a generic enumerating form and, for normal
-and head-cycle-free programs, in polynomial Horn-based forms that are kept
-side by side for cross-validation.
+and head-cycle-free programs, in polynomial Horn-based forms that decide a
+single pair.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from .semantics import (
     classical_models,
     horn_satisfiable,
     is_model,
-    proper_submasks,
     reduct,
     submasks,
 )
 from .syntax import Program, Rule, bits
+from .transforms import is_hcf, shift_program
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,8 @@ def ase_models(p: Program, a: int, over: Optional[int] = None) -> list[ASEPair]:
 
 
 def aue_models(p: Program, a: int, over: Optional[int] = None) -> list[ASEPair]:
-    """A-UE-models: both the maximality filter over the A-SE-models and the
-    direct characterization are computed and asserted to agree."""
-    filtered = _aue_by_filter(p, a, over)
-    direct = _aue_direct(p, a, over)
-    assert filtered == direct, "A-UE characterizations disagree"
-    return filtered
-
-
-def _aue_by_filter(p: Program, a: int, over: Optional[int]) -> list[ASEPair]:
+    """A-UE-models: the A-SE-models that are total or maximal among the
+    non-total ones with the same y."""
     pairs = ase_models(p, a, over)
     nontotal_by_y: dict[int, list[int]] = {}
     for pr in pairs:
@@ -122,40 +115,7 @@ def _aue_by_filter(p: Program, a: int, over: Optional[int]) -> list[ASEPair]:
         xs = nontotal_by_y.get(pr.y, [])
         if not any(pr.x != x2 and (pr.x & ~x2) == 0 for x2 in xs):
             out.append(pr)
-    return sorted(out, key=lambda pr: (pr.y, pr.x))
-
-
-def _aue_direct(p: Program, a: int, over: Optional[int]) -> list[ASEPair]:
-    # non-total (x, y) qualifies iff y models p, every x'' ⊂ y whose
-    # a-part strictly extends x (or equals y's) fails the reduct, and some
-    # x' ⊆ y agreeing with x on `a` models the reduct
-    if over is None:
-        over = p.var | a
-    check_capacity(over)
-    out = []
-    for y in submasks(over):
-        if not is_model(y, p):
-            continue
-        red = reduct(p, y)
-        if _y_is_a_minimal_for_reduct(red, y, a):
-            out.append(ASEPair(y, y, a))
-        ya = y & a
-        for x in submasks(ya):
-            if x == ya:
-                continue
-            ok = True
-            for x2 in proper_submasks(y):
-                x2a = x2 & a
-                grows = (x & ~x2a) == 0 and x != x2a
-                if (grows or x2a == ya) and is_model(x2, red):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            free = y & ~a
-            if any(is_model(x | t, red) for t in submasks(free)):
-                out.append(ASEPair(x, y, a))
-    return sorted(out, key=lambda pr: (pr.y, pr.x))
+    return out
 
 
 def a_minimal_models(p: Program, a: int, over: Optional[int] = None) -> list[int]:
@@ -207,8 +167,6 @@ def aue_check_hcf(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool
     for non-total pairs the middle step becomes a Horn entailment of the
     x-part pinned to the alphabet.
     """
-    from .transforms import is_hcf, shift_program
-
     if not is_hcf(p):
         raise ValueError("program is not head-cycle free")
     ps = shift_program(p)
@@ -241,9 +199,3 @@ def ase_consequence(p: Program, r: Rule, a: int) -> bool:
         if not is_ase_model(single, pr):
             return False
     return True
-
-
-def aue_consequence(p: Program, r: Rule, a: int) -> bool:
-    """Relativized UE-consequence for rule redundancy is not supported; the
-    correct restricted statement for the UE case is not settled here."""
-    raise NotImplementedError("relativized UE rule-redundancy is not implemented")

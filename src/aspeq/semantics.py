@@ -139,15 +139,12 @@ def horn_entails(p: Program, r: Rule) -> bool:
     """Does Horn ``p`` classically entail the positive rule ``r``?
 
     Checked by refutation: p + B+(r) as facts + one constraint per head
-    atom must be unsatisfiable.
+    atom must be unsatisfiable (for a constraint: its body contradicts p).
     """
     if r.neg:
         raise ValueError("entailment check only supports positive rules")
     extra = {Rule(1 << i, 0, 0) for i in bits(r.pos)}
     extra |= {Rule(0, 1 << i, 0) for i in bits(r.head)}
-    if r.head == 0:
-        # a constraint is entailed iff its body is contradictory with p
-        return not horn_satisfiable(Program(p.rules | extra, p.universe))
     return not horn_satisfiable(Program(p.rules | extra, p.universe))
 
 

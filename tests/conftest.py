@@ -3,6 +3,8 @@ import random
 import pytest
 
 from aspeq.harness import GeneratorConfig, random_program
+from aspeq.relativized import ASEPair, _y_is_a_minimal_for_reduct
+from aspeq.semantics import is_model, proper_submasks, reduct, submasks
 from aspeq.syntax import Program, Rule, Universe, parse_program
 
 
@@ -47,3 +49,34 @@ def random_pair(seed: int, atoms: int = 4, max_rules: int = 5, require=()):
         GeneratorConfig(atoms, rng.randint(0, max_rules), seed + 900001, req), uni
     )
     return p, q, uni, rng
+
+
+def aue_direct(p: Program, a: int, over: int) -> list[ASEPair]:
+    """A-UE-models by their direct characterization, an oracle for
+    ``aue_models`` (which filters the A-SE-models for maximality).
+
+    Non-total (x, y) qualifies iff y models p, every x'' strictly below y
+    whose a-part strictly extends x (or equals y's) fails the reduct, and
+    some x' within y that agrees with x on ``a`` models the reduct.
+    """
+    out = []
+    for y in submasks(over):
+        if not is_model(y, p):
+            continue
+        red = reduct(p, y)
+        if _y_is_a_minimal_for_reduct(red, y, a):
+            out.append(ASEPair(y, y, a))
+        ya = y & a
+        for x in submasks(ya):
+            if x == ya:
+                continue
+            blocked = False
+            for x2 in proper_submasks(y):
+                x2a = x2 & a
+                grows = (x & ~x2a) == 0 and x != x2a
+                if (grows or x2a == ya) and is_model(x2, red):
+                    blocked = True
+                    break
+            if not blocked and any(is_model(x | t, red) for t in submasks(y & ~a)):
+                out.append(ASEPair(x, y, a))
+    return sorted(out, key=lambda pr: (pr.y, pr.x))

@@ -43,8 +43,11 @@ def test_check_json_schema(lp, capsys):
         "mode": "uniform",
         "alphabet": ["a", "b"],
         "equivalent": True,
+        "method": None,
         "witness": None,
     }
+    assert main(["check", p, q, "--mode", "rel-strong", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["method"] == "generic"
     assert main(["check", p, q, "--mode", "strong", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["equivalent"] is False

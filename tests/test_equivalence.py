@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import aspeq
 from aspeq.equivalence import (
     Verdict,
+    VerificationError,
     Witness,
+    _check_witness,
     brute_force_oracle,
     build_strong_witness,
     build_uniform_witness,
@@ -13,7 +21,9 @@ from aspeq.equivalence import (
     decide_rel_uniform,
     unary_rules,
 )
-from aspeq.semantics import answer_sets, submasks
+from aspeq.harness import _setup
+from aspeq.relativized import ase_models, aue_models
+from aspeq.semantics import answer_sets, is_horn, submasks
 from aspeq.syntax import Program, Rule, Universe
 
 from conftest import pair, prog, random_pair
@@ -26,6 +36,7 @@ def test_verdict_invariants():
         Verdict(True, "strong", 0, Witness(Program(frozenset(), Universe()), 0, "left"))
     with pytest.raises(ValueError):
         Witness(Program(frozenset(), Universe()), 0, "middle")
+    assert Verdict(True, "rel-strong", 1, None, "horn") == Verdict(True, "rel-strong", 1, None, "generic")
 
 
 def test_decide_ordinary():
@@ -91,10 +102,55 @@ def test_single_atom_alphabet_strong_equals_uniform():
 
 
 def test_rel_uniform_cross_check_containment():
+    # rel-uniform equivalence holds iff the A-UE-models of each program are
+    # A-SE-models of the other
     for seed in range(25):
         p, q, uni, rng = random_pair(seed, atoms=3, max_rules=4)
         a = rng.randint(0, uni.full_mask)
-        decide_rel_uniform(p, q, a, method="generic", cross_check=True)
+        over = p.var | q.var
+        a_eff = a & over
+        up, uq = set(aue_models(p, a_eff, over)), set(aue_models(q, a_eff, over))
+        sp, sq = set(ase_models(p, a_eff, over)), set(ase_models(q, a_eff, over))
+        contained = up <= sq and uq <= sp
+        assert contained == decide_rel_uniform(p, q, a, method="generic").equivalent, seed
+
+
+def test_auto_matches_generic_on_exhaustive_sweeps():
+    # auto runs the generic enumeration itself unless both programs are
+    # Horn, so the Horn pairs are the ones where the verdicts could differ
+    for atoms, max_rules in ((2, 2), (3, 1)):
+        _, over, progs = _setup(atoms, max_rules)
+        horn = [p for p in progs if is_horn(p)]
+        for p in horn:
+            for q in horn:
+                for a in submasks(over):
+                    for decide in (decide_rel_strong, decide_rel_uniform):
+                        auto = decide(p, q, a)
+                        generic = decide(p, q, a, method="generic")
+                        assert auto.method == "horn" and generic.method == "generic"
+                        assert auto.equivalent == generic.equivalent, (p.rules, q.rules, a)
+
+
+def test_auto_routes_non_horn_pairs_to_generic():
+    normal = pair("a :- not b. b :- not a.", "a :- not b. b :- not a. c :- a.")
+    hcf = pair("a | b.", "a :- not b. b :- not a.")
+    cyclic = pair("a | b. a :- b. b :- a.", "a. b.")
+    for p, q, uni in (normal, hcf, cyclic):
+        for decide in (decide_rel_strong, decide_rel_uniform):
+            assert decide(p, q, uni.full_mask).method == "generic"
+    p, q, uni = pair("a. b :- a.", "a. b.")
+    assert decide_rel_strong(p, q, uni.full_mask).method == "horn"
+    assert decide_rel_uniform(p, q, uni.full_mask, method="generic").method == "generic"
+    assert decide_horn_bounded(p, q, uni.full_mask).method == "horn-bounded"
+    assert decide_ordinary(p, q).method is None
+
+
+def test_unknown_method_is_rejected():
+    p, q, uni = pair("a | b.", "a :- not b. b :- not a.")
+    for method in ("normal", "hcf", "Generic", ""):
+        for decide in (decide_rel_strong, decide_rel_uniform):
+            with pytest.raises(ValueError, match="unknown method"):
+                decide(p, q, uni.full_mask, method=method)
 
 
 def test_decide_horn_rel_example():
@@ -116,6 +172,14 @@ def test_decide_horn_bounded_agrees_with_enumeration():
             decide_horn_bounded(p, q, a).equivalent
             == decide_horn_rel(p, q, a).equivalent
         )
+
+
+def test_decide_horn_bounded_leaves_the_universe_alone():
+    p, q, uni = pair("v :- a. :- a, b.", "v :- a. :- v, b. w :- v.")
+    names, full = list(uni.names), uni.full_mask
+    for a in submasks(full):
+        decide_horn_bounded(p, q, a)
+    assert uni.names == names and len(uni) == len(names) and uni.full_mask == full
 
 
 def test_decide_horn_bounded_uniform_witness_gap_regression():
@@ -167,6 +231,36 @@ def test_witness_builders_produce_valid_witnesses():
         if not vu.equivalent:
             w = vu.witness
             assert all(r.pos == 0 and r.neg == 0 for r in w.context.rules)
+
+
+def test_check_witness_rejects_a_tampered_witness():
+    p, q, uni = pair("a.", "a. b.")
+    w = decide_ordinary(p, q).witness
+    _check_witness(p, q, w)
+    with pytest.raises(VerificationError):
+        _check_witness(p, q, Witness(w.context, w.distinguishing, "right"))
+    with pytest.raises(VerificationError):
+        _check_witness(p, q, Witness(w.context, uni.full_mask, w.side))
+
+
+def test_check_witness_survives_optimized_mode():
+    # `python -O` strips asserts; the re-verification must still raise
+    src = Path(aspeq.__file__).resolve().parent.parent
+    code = (
+        "from aspeq.equivalence import VerificationError, Witness, _check_witness, decide_ordinary\n"
+        "from aspeq.syntax import Universe, parse_program\n"
+        "uni = Universe()\n"
+        "p, q = parse_program('a.', uni), parse_program('a. b.', uni)\n"
+        "w = decide_ordinary(p, q).witness\n"
+        "try:\n"
+        "    _check_witness(p, q, Witness(w.context, w.distinguishing, 'right'))\n"
+        "except VerificationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_witness_builders_raise_on_equivalent_input():

@@ -7,16 +7,17 @@ from aspeq.relativized import (
     ase_consequence,
     ase_models,
     aue_check_hcf,
-    aue_consequence,
     aue_models,
     is_ase_model,
     valid_shape,
 )
+from aspeq.equivalence import _pairs_by_check
+from aspeq.harness import _setup
 from aspeq.se import se_models, ue_models
 from aspeq.semantics import answer_sets, classical_models, minimal_models, submasks
 from aspeq.syntax import Program, Rule, Universe, parse_program
 
-from conftest import fmt_pairs, prog, random_pair
+from conftest import aue_direct, fmt_pairs, prog, random_pair
 
 SHIFT_PAIR_Q = "a | b. a :- c. b :- c. :- not c. c :- a, b."
 SHIFT_PAIR_QP = "a :- not b. b :- not a. a :- c. b :- c. :- not c. c :- a, b."
@@ -127,12 +128,8 @@ def test_ase_check_normal_agrees_with_definition():
         p, _, uni, rng = random_pair(seed, atoms=4, max_rules=4, require=["normal"])
         over = uni.full_mask
         a = rng.randint(0, over)
-        truth = {(pr.x, pr.y) for pr in ase_models(p, a, over)}
-        for y in submasks(over):
-            cands = [ASEPair(y, y, a)]
-            cands += [ASEPair(x, y, a) for x in submasks(y & a) if x != (y & a)]
-            for pr in cands:
-                assert ase_check_normal(p, pr, over) == ((pr.x, pr.y) in truth)
+        accepted = _pairs_by_check(a, over, lambda pr: ase_check_normal(p, pr, over))
+        assert set(accepted) == set(ase_models(p, a, over)), seed
 
 
 def test_aue_check_hcf_rejects_head_cycles():
@@ -151,12 +148,8 @@ def test_aue_check_hcf_examples_and_agreement():
         p, _, uni, rng = random_pair(seed, atoms=4, max_rules=4, require=["hcf"])
         over = uni.full_mask
         a = rng.randint(0, over)
-        truth = {(pr.x, pr.y) for pr in aue_models(p, a, over)}
-        for y in submasks(over):
-            cands = [ASEPair(y, y, a)]
-            cands += [ASEPair(x, y, a) for x in submasks(y & a) if x != (y & a)]
-            for pr in cands:
-                assert aue_check_hcf(p, pr, over) == ((pr.x, pr.y) in truth)
+        accepted = _pairs_by_check(a, over, lambda pr: aue_check_hcf(p, pr, over))
+        assert set(accepted) == set(aue_models(p, a, over)), seed
 
 
 def test_ase_consequence_own_rules():
@@ -166,11 +159,14 @@ def test_ase_consequence_own_rules():
         assert ase_consequence(p, r, uni.full_mask)
 
 
-def test_aue_consequence_unsupported():
-    uni = Universe(["a"])
-    p = prog("a.", uni)
-    with pytest.raises(NotImplementedError):
-        aue_consequence(p, Rule(1, 0, 0), 1)
+def test_aue_models_match_direct_characterization_exhaustive():
+    # the maximality filter against the direct A-UE characterization on
+    # every program of the exhaustive sweeps, for every alphabet
+    for atoms, max_rules in ((2, 2), (3, 1)):
+        _, over, progs = _setup(atoms, max_rules)
+        for p in progs:
+            for a in submasks(over):
+                assert aue_models(p, a, over) == aue_direct(p, a, over), (p.rules, a)
 
 
 def test_non_closure_golden():
