@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import Program
+from .transforms import is_hcf
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,6 @@ def classify(p: Program) -> ProgramClass:
     Constraints count as normal (head size at most one admits zero) and,
     when negation-free, as Horn.
     """
-    from .transforms import is_hcf
-
     normal = all(r.head.bit_count() <= 1 for r in p.rules)
     positive = all(r.neg == 0 for r in p.rules)
     definite = all(r.head.bit_count() == 1 for r in p.rules)

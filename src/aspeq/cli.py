@@ -22,6 +22,7 @@ import sys
 from typing import Optional
 
 from .equivalence import (
+    MODES,
     Verdict,
     decide_ordinary,
     decide_rel_strong,
@@ -31,10 +32,9 @@ from .harness import PROPERTIES, exhaustive_sweep
 from .relativized import ase_models, aue_models
 from .se import decide_strong, decide_uniform, se_models, ue_models
 from .semantics import CapacityError, answer_sets, classical_models
-from .syntax import ParseError, Program, Universe, bits, parse_program, render, rule_to_str
+from .syntax import ParseError, Program, Universe, parse_program, render, rule_to_str
 from .transforms import check_shift_safe, shift_one, shift_program
 
-CHECK_MODES = ("ordinary", "strong", "uniform", "rel-strong", "rel-uniform")
 MODEL_KINDS = ("as", "classical", "se", "ue", "ase", "aue")
 
 
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide equivalence of two programs")
     check.add_argument("p", help="first program file")
     check.add_argument("q", help="second program file")
-    check.add_argument("--mode", choices=CHECK_MODES, default="strong")
+    check.add_argument("--mode", choices=MODES, default="strong")
     _add_alphabet_args(check)
     _add_format_arg(check)
     check.set_defaults(func=cmd_check)
@@ -191,8 +191,9 @@ def cmd_models(args) -> int:
     a = _alphabet(args, uni, default=uni.full_mask)
     over = p.var | (a if args.kind in ("ase", "aue") else 0)
     if args.kind == "as":
-        listing = [uni.fmt(m) for m in sorted(answer_sets(p))]
-        raw = [list(uni.decode(m)) for m in sorted(answer_sets(p))]
+        ms = sorted(answer_sets(p))
+        listing = [uni.fmt(m) for m in ms]
+        raw = [list(uni.decode(m)) for m in ms]
     elif args.kind == "classical":
         ms = classical_models(p, p.var)
         listing = [uni.fmt(m) for m in ms]

@@ -11,9 +11,10 @@ by direct answer-set computation before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .semantics import (
+    _y_is_a_minimal_for_reduct,
     answer_sets,
     check_capacity,
     horn_least_model,
@@ -23,7 +24,7 @@ from .semantics import (
     reduct,
     submasks,
 )
-from .relativized import ASEPair, _y_is_a_minimal_for_reduct, ase_models, aue_models
+from .relativized import ASEPair, ase_models, aue_models
 from .syntax import Program, Rule, Universe, bits, facts_program
 
 MODES = ("ordinary", "strong", "uniform", "rel-strong", "rel-uniform")
@@ -85,6 +86,21 @@ def decide_ordinary(p: Program, q: Program) -> Verdict:
     return Verdict(False, "ordinary", 0, w)
 
 
+def _verdict(p: Program, q: Program, mode: str, a: int, same: bool, method: Optional[str] = None) -> Verdict:
+    """The verdict of a model-set comparison: equivalent when ``same``, else
+    not, with a strong-mode or uniform-mode witness over ``a``."""
+    if same:
+        return Verdict(True, mode, a, None, method)
+    build = build_strong_witness if mode.endswith("strong") else build_uniform_witness
+    return Verdict(False, mode, a, build(p, q, a), method)
+
+
+def _fact_contexts(a: int, universe: Universe) -> Iterator[Program]:
+    """The fact programs over ``a``, smallest first, equal sizes by mask."""
+    for f in sorted(submasks(a), key=lambda m: (m.bit_count(), m)):
+        yield facts_program(f, universe)
+
+
 def _route(p: Program, q: Program, a: int, method: str) -> str:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
@@ -123,9 +139,7 @@ def decide_rel_strong(p: Program, q: Program, a: int, method: str = "auto") -> V
     a &= over
     if _route(p, q, a, method) == "horn":
         return decide_horn_rel(p, q, a, mode="rel-strong")
-    if ase_models(p, a, over) == ase_models(q, a, over):
-        return Verdict(True, "rel-strong", a, None, "generic")
-    return Verdict(False, "rel-strong", a, build_strong_witness(p, q, a), "generic")
+    return _verdict(p, q, "rel-strong", a, ase_models(p, a, over) == ase_models(q, a, over), "generic")
 
 
 def decide_rel_uniform(p: Program, q: Program, a: int, method: str = "auto") -> Verdict:
@@ -136,9 +150,7 @@ def decide_rel_uniform(p: Program, q: Program, a: int, method: str = "auto") -> 
     a &= over
     if _route(p, q, a, method) == "horn":
         return decide_horn_rel(p, q, a, mode="rel-uniform")
-    if aue_models(p, a, over) == aue_models(q, a, over):
-        return Verdict(True, "rel-uniform", a, None, "generic")
-    return Verdict(False, "rel-uniform", a, build_uniform_witness(p, q, a), "generic")
+    return _verdict(p, q, "rel-uniform", a, aue_models(p, a, over) == aue_models(q, a, over), "generic")
 
 
 def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
@@ -197,8 +209,7 @@ def build_uniform_witness(p: Program, q: Program, a: int) -> Witness:
     """Smallest fact set over ``a`` on which the answer sets differ."""
     _shared(p, q)
     check_capacity(a)
-    for f in sorted(submasks(a), key=lambda m: (m.bit_count(), m)):
-        ctx = facts_program(f, p.universe)
+    for ctx in _fact_contexts(a, p.universe):
         sp, sq = set(answer_sets(p | ctx)), set(answer_sets(q | ctx))
         if sp != sq:
             d = min(sp ^ sq)
@@ -222,8 +233,7 @@ def decide_horn_rel(p: Program, q: Program, a: int, mode: str = "rel-uniform") -
     a &= p.var | q.var
     if a.bit_count() > 20:
         raise ValueError("alphabet too large for fact-set enumeration")
-    for f in sorted(submasks(a), key=lambda m: (m.bit_count(), m)):
-        ctx = facts_program(f, p.universe)
+    for ctx in _fact_contexts(a, p.universe):
         lp = horn_least_model(p | ctx)
         lq = horn_least_model(q | ctx)
         if lp != lq:

@@ -18,10 +18,12 @@ from random import Random
 from typing import Callable, Iterable, Optional
 
 from .classify import classify
-from .semantics import answer_sets, is_model, proper_submasks, reduct, submasks
-from .se import se_models, ue_models, answer_sets_via_se
+from .equivalence import unary_rules
 from .relativized import a_minimal_models, ase_models, aue_models
-from .syntax import Program, Rule, Universe, bits, facts_program
+from .se import answer_sets_via_se, se_models, ue_models
+from .semantics import answer_sets, satisfies, submasks
+from .syntax import Program, Rule, Universe, bits
+from .transforms import s_r, shift_rule
 
 ATOM_NAMES = "abcdefgh"
 
@@ -127,22 +129,16 @@ def context_se_classes(alpha_size: int, max_rules: int = 3) -> tuple[frozenset, 
             prog = frozenset(combo)
             pairs = []
             for y in submasks(over):
-                if not all(_sat(y, r) for r in prog):
+                if not all(satisfies(y, r) for r in prog):
                     continue
                 red = [Rule(r.head, r.pos, 0) for r in prog if not (r.neg & y)]
-                pairs.extend((x, y) for x in submasks(y) if all(_sat(x, r) for r in red))
+                pairs.extend((x, y) for x in submasks(y) if all(satisfies(x, r) for r in red))
             seen.add(frozenset(pairs))
     return tuple(sorted(seen, key=lambda s: sorted(s)))
 
 
-def _sat(i: int, r: Rule) -> bool:
-    return (r.pos & ~i) != 0 or (r.neg & i) != 0 or (r.head & i) != 0
-
-
 def unary_context_programs(universe: Universe, a: int) -> list[Program]:
     """Every unary program over the alphabet (facts plus one-body rules)."""
-    from .equivalence import unary_rules
-
     rules = unary_rules(universe, a)
     return [
         Program(frozenset(rules[i] for i in bits(pick)), universe)
@@ -196,8 +192,6 @@ def strong_signature(p: Program, a: int, over: int, max_rules: int = 3) -> tuple
 
 def unary_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus U) for every unary program U over the alphabet."""
-    from .equivalence import unary_rules
-
     rules = unary_rules(p.universe, a)
     pairs = se_models(p, over)
     positions = list(bits(a))
@@ -207,9 +201,9 @@ def unary_signature(p: Program, a: int, over: int) -> tuple:
         cls = frozenset(
             (x, y)
             for y in submasks(a)
-            if all(_sat(y, r) for r in ctx)
+            if all(satisfies(y, r) for r in ctx)
             for x in submasks(y)
-            if all(_sat(x, r) for r in ctx)
+            if all(satisfies(x, r) for r in ctx)
         )
         proj = frozenset((project(x, positions), project(y, positions)) for x, y in cls)
         out.append(sm_under_class(pairs, positions, proj))
@@ -410,8 +404,6 @@ def _prop_positive_collapse(atom_count, max_rules):
 
 
 def _prop_shift_subset(atom_count, max_rules):
-    from .transforms import shift_rule
-
     uni = Universe(ATOM_NAMES[:atom_count])
     over = uni.full_mask
     report = SweepReport("shift-subset", 0)
@@ -425,8 +417,6 @@ def _prop_shift_subset(atom_count, max_rules):
 
 
 def _prop_shift_difference(atom_count, max_rules):
-    from .transforms import s_r, shift_rule
-
     uni = Universe(ATOM_NAMES[:atom_count])
     over = uni.full_mask
     report = SweepReport("shift-difference", 0)

@@ -1,8 +1,10 @@
 """Relativized SE/UE-models over an alphabet A, and A-minimal models.
 
 An A-SE-interpretation is a pair (X, Y) with X = Y or X a strict subset of
-Y ∩ A.  Membership tests come in a generic enumerating form and, for normal
-and head-cycle-free programs, in polynomial Horn-based forms that decide a
+Y ∩ A.  ``ase_models`` and ``aue_models`` wrap the pair kernel's listing
+(``semantics._ase_pairs``, and its maximal pairs for A-UE) in ``ASEPair``.
+Membership tests come in a generic form and, for normal and
+head-cycle-free programs, in polynomial Horn-based forms that decide a
 single pair.
 """
 
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .semantics import (
+    _ase_pairs,
+    _maximal_pairs,
+    _y_is_a_minimal_for_reduct,
     bound_sets,
-    check_capacity,
     classical_models,
     horn_satisfiable,
     is_model,
@@ -63,59 +67,19 @@ def is_ase_model(p: Program, pair: ASEPair) -> bool:
     return any(is_model(x | t, red) for t in submasks(free))
 
 
-def _y_is_a_minimal_for_reduct(red: Program, y: int, a: int) -> bool:
-    # no y' strictly below y agreeing with y on `a` models the reduct
-    fixed = y & a
-    free = y & ~a
-    for t in submasks(free):
-        if t == free:
-            continue
-        if is_model(fixed | t, red):
-            return False
-    return True
-
-
 def ase_models(p: Program, a: int, over: Optional[int] = None) -> list[ASEPair]:
-    """All A-SE-models of ``p`` over the atoms in ``over``."""
+    """All A-SE-models of ``p`` over the atoms in ``over`` (default var(p) ∪ a)."""
     if over is None:
         over = p.var | a
-    check_capacity(over)
-    out = []
-    for y in submasks(over):
-        if not is_model(y, p):
-            continue
-        red = reduct(p, y)
-        if not _y_is_a_minimal_for_reduct(red, y, a):
-            continue
-        out.append(ASEPair(y, y, a))
-        ya = y & a
-        free = y & ~a
-        extensions = [t for t in submasks(free)]
-        for x in submasks(ya):
-            if x == ya:
-                continue
-            if any(is_model(x | t, red) for t in extensions):
-                out.append(ASEPair(x, y, a))
-    return sorted(out, key=lambda pr: (pr.y, pr.x))
+    return [ASEPair(x, y, a) for x, y in _ase_pairs(p, a, over)]
 
 
 def aue_models(p: Program, a: int, over: Optional[int] = None) -> list[ASEPair]:
     """A-UE-models: the A-SE-models that are total or maximal among the
     non-total ones with the same y."""
-    pairs = ase_models(p, a, over)
-    nontotal_by_y: dict[int, list[int]] = {}
-    for pr in pairs:
-        if not pr.total:
-            nontotal_by_y.setdefault(pr.y, []).append(pr.x)
-    out = []
-    for pr in pairs:
-        if pr.total:
-            out.append(pr)
-            continue
-        xs = nontotal_by_y.get(pr.y, [])
-        if not any(pr.x != x2 and (pr.x & ~x2) == 0 for x2 in xs):
-            out.append(pr)
-    return out
+    if over is None:
+        over = p.var | a
+    return [ASEPair(x, y, a) for x, y in _maximal_pairs(_ase_pairs(p, a, over))]
 
 
 def a_minimal_models(p: Program, a: int, over: Optional[int] = None) -> list[int]:

@@ -1,15 +1,17 @@
 """SE-models, UE-models, SE/UE-consequence, strong and uniform equivalence.
 
 An SE-pair is an ordered pair of interpretation masks ``(x, y)`` with
-``x`` a subset of ``y``.  Listings are returned sorted by ``(y, x)`` so
-output is deterministic.
+``x`` a subset of ``y``.  SE-models are the pair kernel's A-SE-models with
+``a = over`` (``semantics._ase_pairs``) and UE-models its maximal pairs;
+listings are sorted by ``(y, x)``, and ``over`` must cover var(p).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .semantics import check_capacity, is_model, proper_submasks, reduct, submasks
+from .equivalence import Verdict, _shared, _verdict
+from .semantics import _ase_pairs, _maximal_pairs, is_model, proper_submasks, reduct
 from .syntax import Program, Rule
 
 SEPair = tuple[int, int]
@@ -26,36 +28,12 @@ def se_models(p: Program, over: Optional[int] = None) -> list[SEPair]:
     """All SE-models of ``p`` over the atoms in ``over`` (default var(p))."""
     if over is None:
         over = p.var
-    check_capacity(over)
-    out = []
-    for y in submasks(over):
-        if not is_model(y, p):
-            continue
-        red = reduct(p, y)
-        for x in submasks(y):
-            if is_model(x, red):
-                out.append((x, y))
-    return sorted(out, key=lambda xy: (xy[1], xy[0]))
+    return _ase_pairs(p, over, over)
 
 
 def ue_models(p: Program, over: Optional[int] = None) -> list[SEPair]:
     """SE-models that are total or maximal among the non-total ones per y."""
-    return sorted(_ue_filter(se_models(p, over)), key=lambda xy: (xy[1], xy[0]))
-
-
-def _ue_filter(pairs: list[SEPair]) -> list[SEPair]:
-    by_y: dict[int, list[int]] = {}
-    for x, y in pairs:
-        by_y.setdefault(y, []).append(x)
-    out = []
-    for y, xs in by_y.items():
-        nontotal = [x for x in xs if x != y]
-        for x, y2 in ((x, y) for x in xs):
-            if x == y2:
-                out.append((x, y2))
-            elif not any(x != x2 and (x & ~x2) == 0 for x2 in nontotal):
-                out.append((x, y2))
-    return out
+    return _maximal_pairs(se_models(p, over))
 
 
 def se_consequence(p: Program, r: Rule) -> bool:
@@ -87,28 +65,15 @@ def answer_sets_via_se(p: Program, over: Optional[int] = None) -> list[int]:
     return [y for x, y in pairs if x == y and not any((z, y) in pair_set for z in proper_submasks(y))]
 
 
-def decide_strong(p: Program, q: Program):
+def decide_strong(p: Program, q: Program) -> Verdict:
     """Strong equivalence: SE-model sets over var(p+q) coincide."""
-    from .equivalence import Verdict, build_strong_witness
-
-    _require_shared(p, q)
+    _shared(p, q)
     over = p.var | q.var
-    if se_models(p, over) == se_models(q, over):
-        return Verdict(True, "strong", over, None)
-    return Verdict(False, "strong", over, build_strong_witness(p, q, over))
+    return _verdict(p, q, "strong", over, se_models(p, over) == se_models(q, over))
 
 
-def decide_uniform(p: Program, q: Program):
+def decide_uniform(p: Program, q: Program) -> Verdict:
     """Uniform equivalence of finite programs: UE-model sets coincide."""
-    from .equivalence import Verdict, build_uniform_witness
-
-    _require_shared(p, q)
+    _shared(p, q)
     over = p.var | q.var
-    if ue_models(p, over) == ue_models(q, over):
-        return Verdict(True, "uniform", over, None)
-    return Verdict(False, "uniform", over, build_uniform_witness(p, q, over))
-
-
-def _require_shared(p: Program, q: Program) -> None:
-    if p.universe is not q.universe:
-        raise ValueError("programs must share one universe")
+    return _verdict(p, q, "uniform", over, ue_models(p, over) == ue_models(q, over))

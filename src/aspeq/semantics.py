@@ -1,4 +1,5 @@
-"""Classical satisfaction, reducts, answer sets, Horn least models.
+"""Classical satisfaction, reducts, answer sets, Horn least models, and
+the pair kernel under the SE-, UE-, A-SE- and A-UE-model listings.
 
 All enumeration is exhaustive over bit masks and guarded by a capacity cap
 (24 atoms by default); every function here is pure.
@@ -6,6 +7,8 @@ All enumeration is exhaustive over bit masks and guarded by a capacity cap
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .syntax import Program, Rule, Universe, bits
@@ -100,6 +103,56 @@ def answer_sets(p: Program) -> list[int]:
         if any(all(_sat_pos(x, r) for r in red) for x in proper_submasks(y)):
             continue
         out.append(y)
+    return out
+
+
+def _y_is_a_minimal_for_reduct(red: Program, y: int, a: int) -> bool:
+    # no y' strictly below y agreeing with y on `a` models the reduct
+    fixed = y & a
+    return not any(is_model(fixed | t, red) for t in proper_submasks(y & ~a))
+
+
+def _ase_pairs(p: Program, a: int, over: int) -> list[tuple[int, int]]:
+    """The A-SE-models ``(x, y)`` of ``p`` over ``over``, sorted by ``(y, x)``;
+    with ``a = over`` these are the SE-models.  ``over`` must cover var(p).
+
+    ``y`` must model ``p`` with no ``y'`` below it, agreeing on ``a``,
+    modelling the reduct; then ``(y, y)`` is a pair, and so is each ``x``
+    strictly inside ``y ∩ a`` that some extension off ``a`` within ``y``
+    makes a model of the reduct.
+    """
+    if p.var & ~over:
+        raise ValueError("`over` must cover var(p)")
+    check_capacity(over)
+    out = []
+    for y in submasks(over):
+        if not is_model(y, p):
+            continue
+        red = reduct(p, y)
+        if not _y_is_a_minimal_for_reduct(red, y, a):
+            continue
+        ya = y & a
+        ext = list(submasks(y & ~a))
+        for x in submasks(ya):
+            if x == ya:  # the last submask; (y, y) is appended below
+                break
+            for t in ext:
+                if is_model(x | t, red):
+                    out.append((x, y))
+                    break
+        out.append((y, y))
+    return out
+
+
+def _maximal_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The total pairs of a ``(y, x)``-sorted listing, and the non-total
+    pairs with no strict superset among the non-total pairs of their ``y``."""
+    out = []
+    for y, run in groupby(pairs, key=itemgetter(1)):
+        xs = [x for x, _ in run]
+        # a strict superset of x sorts after it within the run
+        out += [(x, y) for i, x in enumerate(xs)
+                if x == y or not any(x2 != y and not x & ~x2 for x2 in xs[i + 1:])]
     return out
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .semantics import check_capacity, submasks
+from .semantics import _ase_pairs, check_capacity, submasks
 from .syntax import ATOM_RE, Program, Rule, bits
-from .se import SEPair, se_models
 
 
 def shift_rule(r: Rule) -> frozenset[Rule]:
@@ -41,9 +40,10 @@ def shift_program(p: Program) -> Program:
     return Program(frozenset(rules), p.universe)
 
 
-def s_r(r: Rule, over: int) -> list[SEPair]:
+def s_r(r: Rule, over: int) -> list[tuple[int, int]]:
     """SE-pairs gained by shifting ``r``: X satisfies the positive body, Y
-    avoids the negative body and meets the head twice, X misses the head."""
+    avoids the negative body and meets the head twice, X misses the head.
+    Sorted by ``(y, x)``."""
     check_capacity(over)
     out = []
     for y in submasks(over):
@@ -52,7 +52,7 @@ def s_r(r: Rule, over: int) -> list[SEPair]:
         for x in submasks(y):
             if (r.pos & ~x) == 0 and (r.head & x) == 0:
                 out.append((x, y))
-    return sorted(out, key=lambda xy: (xy[1], xy[0]))
+    return out
 
 
 def _reach_masks(p: Program, extra_clique: int = 0) -> dict[int, int]:
@@ -119,8 +119,8 @@ def check_shift_safe(p: Program, r: Rule, a: int) -> bool:
     over = p.var | a
     shifted = shift_one(p, r)
     gained = set(s_r(r, over))
-    se_p = set(se_models(p, over))
-    for x, y in se_models(shifted, over):
+    se_p = set(_ase_pairs(p, over, over))
+    for x, y in _ase_pairs(shifted, over, over):
         if (x, y) not in gained:
             continue
         if any(

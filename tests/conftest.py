@@ -3,8 +3,8 @@ import random
 import pytest
 
 from aspeq.harness import GeneratorConfig, random_program
-from aspeq.relativized import ASEPair, _y_is_a_minimal_for_reduct
-from aspeq.semantics import is_model, proper_submasks, reduct, submasks
+from aspeq.relativized import ASEPair
+from aspeq.semantics import _y_is_a_minimal_for_reduct, is_model, proper_submasks, reduct, submasks
 from aspeq.syntax import Program, Rule, Universe, parse_program
 
 
