@@ -42,6 +42,7 @@ from .equivalence import (
     brute_force_oracle,
     build_strong_witness,
     build_uniform_witness,
+    decide,
     decide_horn_bounded,
     decide_horn_rel,
     decide_ordinary,
@@ -89,6 +90,7 @@ __all__ = [
     "check_shift_safe",
     "classical_models",
     "classify",
+    "decide",
     "decide_horn_bounded",
     "decide_horn_rel",
     "decide_ordinary",

@@ -1,4 +1,4 @@
-"""Syntactic program classes used to route the deciders."""
+"""Syntactic program classes (flags only; no decider routes on them)."""
 
 from __future__ import annotations
 

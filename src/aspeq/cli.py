@@ -21,16 +21,10 @@ import json
 import sys
 from typing import Optional
 
-from .equivalence import (
-    MODES,
-    Verdict,
-    decide_ordinary,
-    decide_rel_strong,
-    decide_rel_uniform,
-)
+from .equivalence import MODES, Verdict, decide
 from .harness import PROPERTIES, exhaustive_sweep
 from .relativized import ase_models, aue_models
-from .se import decide_strong, decide_uniform, se_models, ue_models
+from .se import se_models, ue_models
 from .semantics import CapacityError, answer_sets, classical_models
 from .syntax import ParseError, Program, Universe, parse_program, render, rule_to_str
 from .transforms import check_shift_safe, shift_one, shift_program
@@ -132,16 +126,7 @@ def cmd_check(args) -> int:
     p = _load(args.p, uni)
     q = _load(args.q, uni)
     a = _alphabet(args, uni, default=uni.full_mask)
-    if args.mode == "ordinary":
-        verdict = decide_ordinary(p, q)
-    elif args.mode == "strong":
-        verdict = decide_strong(p, q)
-    elif args.mode == "uniform":
-        verdict = decide_uniform(p, q)
-    elif args.mode == "rel-strong":
-        verdict = decide_rel_strong(p, q, a)
-    else:
-        verdict = decide_rel_uniform(p, q, a)
+    verdict = decide(p, q, args.mode, a)
     if args.format == "json":
         print(json.dumps(_verdict_json(verdict, uni)))
     else:
@@ -189,35 +174,27 @@ def cmd_models(args) -> int:
     uni = Universe()
     p = _load(args.p, uni)
     a = _alphabet(args, uni, default=uni.full_mask)
-    over = p.var | (a if args.kind in ("ase", "aue") else 0)
+    relative = args.kind in ("ase", "aue")
     if args.kind == "as":
-        ms = sorted(answer_sets(p))
-        listing = [uni.fmt(m) for m in ms]
-        raw = [list(uni.decode(m)) for m in ms]
+        models = sorted(answer_sets(p))
     elif args.kind == "classical":
-        ms = classical_models(p, p.var)
-        listing = [uni.fmt(m) for m in ms]
-        raw = [list(uni.decode(m)) for m in ms]
-    elif args.kind in ("se", "ue"):
-        fn = se_models if args.kind == "se" else ue_models
-        pairs = fn(p, p.var)
-        listing = [uni.fmt_pair(x, y) for x, y in pairs]
-        raw = [[list(uni.decode(x)), list(uni.decode(y))] for x, y in pairs]
+        models = classical_models(p, p.var)
+    elif not relative:
+        models = (se_models if args.kind == "se" else ue_models)(p, p.var)
     else:
-        fn = ase_models if args.kind == "ase" else aue_models
-        pairs = fn(p, a, over)
-        listing = [uni.fmt_pair(pr.x, pr.y) for pr in pairs]
-        raw = [[list(uni.decode(pr.x)), list(uni.decode(pr.y))] for pr in pairs]
+        pairs = (ase_models if args.kind == "ase" else aue_models)(p, a, p.var | a)
+        models = [(pr.x, pr.y) for pr in pairs]
     if args.format == "json":
         print(json.dumps({
             "schema": 1,
             "kind": args.kind,
-            "alphabet": list(uni.decode(a)) if args.kind in ("ase", "aue") else None,
-            "models": raw,
+            "alphabet": list(uni.decode(a)) if relative else None,
+            "models": [[list(uni.decode(i)) for i in m] if isinstance(m, tuple) else list(uni.decode(m))
+                       for m in models],
         }))
     else:
-        for line in listing:
-            print(line)
+        for m in models:
+            print(uni.fmt_pair(*m) if isinstance(m, tuple) else uni.fmt(m))
     return 0
 
 

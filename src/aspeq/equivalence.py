@@ -1,5 +1,8 @@
 """Equivalence deciders, counterexample witnesses, Horn special cases.
 
+``decide`` serves all five modes; ``decide_ordinary``, ``decide_rel_*``
+and ``se.decide_strong``/``decide_uniform`` are wrappers of it.
+
 A ``Verdict`` carries the mode, the alphabet actually used (always
 intersected with the atoms of the two programs), and — exactly when the
 programs are not equivalent — a ``Witness``: a context program over the
@@ -11,9 +14,11 @@ by direct answer-set computation before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .semantics import (
+    _ase_pairs,
+    _maximal_pairs,
     _y_is_a_minimal_for_reduct,
     answer_sets,
     check_capacity,
@@ -24,7 +29,7 @@ from .semantics import (
     reduct,
     submasks,
 )
-from .relativized import ASEPair, ase_models, aue_models
+from .relativized import ASEPair
 from .syntax import Program, Rule, Universe, bits, facts_program
 
 MODES = ("ordinary", "strong", "uniform", "rel-strong", "rel-uniform")
@@ -74,25 +79,60 @@ def _shared(p: Program, q: Program) -> None:
         raise ValueError("programs must share one universe")
 
 
+def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: str = "auto") -> Verdict:
+    """Decide equivalence of ``p`` and ``q`` in ``mode``, one of ``MODES``.
+
+    Every mode is a row of relativized equivalence over A.  "ordinary" is
+    the fact-context search at A = ∅: the answer sets coincide, and two
+    inconsistent programs compare equal.  "strong" and "uniform" are the
+    "rel-strong" and "rel-uniform" rows at A = var(p ∪ q), always
+    enumerated; ``a`` is ignored for these three.  The relativized rows
+    use ``a & var(p ∪ q)`` (default: every atom) and ``method``: "generic"
+    compares the enumerated A-SE-models (A-UE-models for rel-uniform),
+    "horn" runs the fact-extension decision for Horn programs, and "auto"
+    takes "horn" when both programs are Horn and "generic" otherwise.
+    ``method`` is validated in every mode.
+    """
+    _shared(p, q)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    if mode == "ordinary":
+        w = _fact_witness(p, q, 0)
+        return Verdict(w is None, mode, 0, w)
+    over = p.var | q.var
+    route = None
+    if mode.startswith("rel-"):
+        a = over if a is None else a & over
+        route = _route(p, q, a, method)
+        if route == "horn":
+            return decide_horn_rel(p, q, a, mode)
+    else:
+        a = over
+    strong = mode.endswith("strong")
+    left, right = _ase_pairs(p, a, over), _ase_pairs(q, a, over)
+    if not strong:
+        left, right = _maximal_pairs(left), _maximal_pairs(right)
+    if left == right:
+        return Verdict(True, mode, a, None, route)
+    build = build_strong_witness if strong else build_uniform_witness
+    return Verdict(False, mode, a, build(p, q, a), route)
+
+
 def decide_ordinary(p: Program, q: Program) -> Verdict:
     """Same answer sets; two inconsistent programs compare equal."""
-    _shared(p, q)
-    sp, sq = set(answer_sets(p)), set(answer_sets(q))
-    if sp == sq:
-        return Verdict(True, "ordinary", 0, None)
-    d = min(sp ^ sq)
-    w = Witness(Program(frozenset(), p.universe), d, "left" if d in sp else "right")
-    _check_witness(p, q, w)
-    return Verdict(False, "ordinary", 0, w)
+    return decide(p, q, "ordinary")
 
 
-def _verdict(p: Program, q: Program, mode: str, a: int, same: bool, method: Optional[str] = None) -> Verdict:
-    """The verdict of a model-set comparison: equivalent when ``same``, else
-    not, with a strong-mode or uniform-mode witness over ``a``."""
-    if same:
-        return Verdict(True, mode, a, None, method)
-    build = build_strong_witness if mode.endswith("strong") else build_uniform_witness
-    return Verdict(False, mode, a, build(p, q, a), method)
+def decide_rel_strong(p: Program, q: Program, a: int, method: str = "auto") -> Verdict:
+    """Strong equivalence relative to the alphabet ``a``; see ``decide``."""
+    return decide(p, q, "rel-strong", a, method)
+
+
+def decide_rel_uniform(p: Program, q: Program, a: int, method: str = "auto") -> Verdict:
+    """Uniform equivalence relative to the alphabet ``a``; see ``decide``."""
+    return decide(p, q, "rel-uniform", a, method)
 
 
 def _fact_contexts(a: int, universe: Universe) -> Iterator[Program]:
@@ -101,9 +141,27 @@ def _fact_contexts(a: int, universe: Universe) -> Iterator[Program]:
         yield facts_program(f, universe)
 
 
+def _first_witness(p: Program, q: Program, contexts: Iterable[Program]) -> Optional[Witness]:
+    """The witness at the first context on which the answer sets of ``p``
+    and ``q`` differ (its least differing answer set), or None."""
+    for ctx in contexts:
+        sp, sq = set(answer_sets(p | ctx)), set(answer_sets(q | ctx))
+        if sp != sq:
+            d = min(sp ^ sq)
+            return Witness(ctx, d, "left" if d in sp else "right")
+    return None
+
+
+def _fact_witness(p: Program, q: Program, a: int) -> Optional[Witness]:
+    """The re-verified witness at the smallest fact set over ``a`` on which
+    the answer sets differ, or None when every fact set agrees."""
+    w = _first_witness(p, q, _fact_contexts(a, p.universe))
+    if w is not None:
+        _check_witness(p, q, w)
+    return w
+
+
 def _route(p: Program, q: Program, a: int, method: str) -> str:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     if method == "auto":
         return "horn" if is_horn(p) and is_horn(q) and a.bit_count() <= 20 else "generic"
     return method
@@ -127,32 +185,6 @@ def _pairs_by_check(a: int, over: int, member) -> list[ASEPair]:
     return out
 
 
-def decide_rel_strong(p: Program, q: Program, a: int, method: str = "auto") -> Verdict:
-    """Strong equivalence relative to the alphabet ``a``.
-
-    ``method``: "generic" compares the enumerated A-SE-models, "horn" runs
-    the fact-extension decision for Horn programs, and "auto" takes "horn"
-    when both programs are Horn and "generic" otherwise.
-    """
-    _shared(p, q)
-    over = p.var | q.var
-    a &= over
-    if _route(p, q, a, method) == "horn":
-        return decide_horn_rel(p, q, a, mode="rel-strong")
-    return _verdict(p, q, "rel-strong", a, ase_models(p, a, over) == ase_models(q, a, over), "generic")
-
-
-def decide_rel_uniform(p: Program, q: Program, a: int, method: str = "auto") -> Verdict:
-    """Uniform equivalence relative to ``a`` via A-UE-model comparison;
-    ``method`` as for ``decide_rel_strong``."""
-    _shared(p, q)
-    over = p.var | q.var
-    a &= over
-    if _route(p, q, a, method) == "horn":
-        return decide_horn_rel(p, q, a, mode="rel-uniform")
-    return _verdict(p, q, "rel-uniform", a, aue_models(p, a, over) == aue_models(q, a, over), "generic")
-
-
 def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
     """Unary context separating two rel-strong-inequivalent programs.
 
@@ -162,6 +194,9 @@ def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
     Y ∩ a) or admit an X below Y modelling the second program's reduct
     that no alphabet-equal X' can match on the first (context = facts of
     X ∩ a plus all unary rules between distinct atoms of (Y \\ X) ∩ a).
+    The first such context is the witness: the A-minimality of Y and the
+    condition on X make Y an answer set of the first program plus the
+    context and not of the second, which ``_check_witness`` re-verifies.
     """
     _shared(p, q)
     over = p.var | q.var | a
@@ -173,9 +208,9 @@ def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
             red_first = reduct(first, y)
             if not _y_is_a_minimal_for_reduct(red_first, y, a):
                 continue
-            contexts = []
+            ctx = None
             if not is_model(y, second):
-                contexts.append(facts_program(y & a, p.universe))
+                ctx = facts_program(y & a, p.universe)
             else:
                 red_second = reduct(second, y)
                 for x in submasks(y):
@@ -193,15 +228,12 @@ def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
                         for j in bits(grow):
                             if i != j:
                                 rules.add(Rule(1 << i, 1 << j, 0))
-                    contexts.append(Program(frozenset(rules), p.universe))
+                    ctx = Program(frozenset(rules), p.universe)
                     break
-            for ctx in contexts:
-                sm_first = answer_sets(first | ctx)
-                sm_second = answer_sets(second | ctx)
-                if y in sm_first and y not in sm_second:
-                    w = Witness(ctx, y, side)
-                    _check_witness(p, q, w)
-                    return w
+            if ctx is not None:
+                w = Witness(ctx, y, side)
+                _check_witness(p, q, w)
+                return w
     raise AssertionError("no witness found; programs appear strongly equivalent")
 
 
@@ -209,14 +241,10 @@ def build_uniform_witness(p: Program, q: Program, a: int) -> Witness:
     """Smallest fact set over ``a`` on which the answer sets differ."""
     _shared(p, q)
     check_capacity(a)
-    for ctx in _fact_contexts(a, p.universe):
-        sp, sq = set(answer_sets(p | ctx)), set(answer_sets(q | ctx))
-        if sp != sq:
-            d = min(sp ^ sq)
-            w = Witness(ctx, d, "left" if d in sp else "right")
-            _check_witness(p, q, w)
-            return w
-    raise AssertionError("no witness found; programs appear uniformly equivalent")
+    w = _fact_witness(p, q, a)
+    if w is None:
+        raise AssertionError("no witness found; programs appear uniformly equivalent")
+    return w
 
 
 def decide_horn_rel(p: Program, q: Program, a: int, mode: str = "rel-uniform") -> Verdict:
@@ -344,26 +372,15 @@ def brute_force_oracle(p: Program, q: Program, a: int, mode: str) -> Verdict:
     if mode == "uniform":
         if a.bit_count() > 12:
             raise ValueError("alphabet too large for the uniform oracle")
-        for f in sorted(submasks(a), key=lambda m: (m.bit_count(), m)):
-            ctx = facts_program(f, p.universe)
-            sp, sq = set(answer_sets(p | ctx)), set(answer_sets(q | ctx))
-            if sp != sq:
-                d = min(sp ^ sq)
-                w = Witness(ctx, d, "left" if d in sp else "right")
-                return Verdict(False, "rel-uniform", a, w)
-        return Verdict(True, "rel-uniform", a, None)
+        w = _first_witness(p, q, _fact_contexts(a, p.universe))
+        return Verdict(w is None, "rel-uniform", a, w)
     if mode == "strong":
         if a.bit_count() > 3:
             raise ValueError("alphabet too large for the unary-context oracle")
         rules = unary_rules(p.universe, a)
-        for pick in range(1 << len(rules)):
-            ctx = Program(frozenset(rules[i] for i in bits(pick)), p.universe)
-            sp, sq = set(answer_sets(p | ctx)), set(answer_sets(q | ctx))
-            if sp != sq:
-                d = min(sp ^ sq)
-                w = Witness(ctx, d, "left" if d in sp else "right")
-                return Verdict(False, "rel-strong", a, w)
-        return Verdict(True, "rel-strong", a, None)
+        picks = range(1 << len(rules))
+        w = _first_witness(p, q, (Program(frozenset(rules[i] for i in bits(k)), p.universe) for k in picks))
+        return Verdict(w is None, "rel-strong", a, w)
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 from .classify import classify
 from .equivalence import unary_rules
 from .relativized import a_minimal_models, ase_models, aue_models
-from .se import answer_sets_via_se, se_models, ue_models
+from .se import se_models, ue_models
 from .semantics import answer_sets, satisfies, submasks
 from .syntax import Program, Rule, Universe, bits
 from .transforms import s_r, shift_rule
@@ -135,15 +135,6 @@ def context_se_classes(alpha_size: int, max_rules: int = 3) -> tuple[frozenset, 
                 pairs.extend((x, y) for x in submasks(y) if all(satisfies(x, r) for r in red))
             seen.add(frozenset(pairs))
     return tuple(sorted(seen, key=lambda s: sorted(s)))
-
-
-def unary_context_programs(universe: Universe, a: int) -> list[Program]:
-    """Every unary program over the alphabet (facts plus one-body rules)."""
-    rules = unary_rules(universe, a)
-    return [
-        Program(frozenset(rules[i] for i in bits(pick)), universe)
-        for pick in range(1 << len(rules))
-    ]
 
 
 def sm_from_se(pairs: Iterable[tuple[int, int]]) -> frozenset[int]:
@@ -270,7 +261,7 @@ def _prop_ue_subset_se(atom_count, max_rules):
 def _prop_answer_sets_se(atom_count, max_rules):
     def check(p, uni, over):
         direct = sorted(answer_sets(p))
-        via = sorted(answer_sets_via_se(p))
+        via = sorted(sm_from_se(se_models(p)))
         if direct != via:
             return f"answer-set characterizations disagree for: {p.rules}"
         return None

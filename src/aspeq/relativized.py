@@ -85,14 +85,7 @@ def aue_models(p: Program, a: int, over: Optional[int] = None) -> list[ASEPair]:
 def a_minimal_models(p: Program, a: int, over: Optional[int] = None) -> list[int]:
     """Classical models with no strictly smaller model agreeing on ``a``."""
     models = classical_models(p, over if over is not None else (p.var | a))
-    model_set = set(models)
-    out = []
-    for y in models:
-        fixed = y & a
-        free = y & ~a
-        if not any(t != free and (fixed | t) in model_set for t in submasks(free)):
-            out.append(y)
-    return out
+    return [y for y in models if _y_is_a_minimal_for_reduct(p, y, a)]
 
 
 def ase_check_normal(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .equivalence import Verdict, _shared, _verdict
-from .semantics import _ase_pairs, _maximal_pairs, is_model, proper_submasks, reduct
+from .equivalence import Verdict, decide
+from .semantics import _ase_pairs, _maximal_pairs, is_model, reduct
 from .syntax import Program, Rule
 
 SEPair = tuple[int, int]
@@ -58,22 +58,11 @@ def ue_class_check(p: Program) -> bool:
     return all(is_model(x, p) for x, _ in ue_models(p))
 
 
-def answer_sets_via_se(p: Program, over: Optional[int] = None) -> list[int]:
-    """Answer sets read off the SE-models: totals with no smaller partner."""
-    pairs = se_models(p, over)
-    pair_set = set(pairs)
-    return [y for x, y in pairs if x == y and not any((z, y) in pair_set for z in proper_submasks(y))]
-
-
 def decide_strong(p: Program, q: Program) -> Verdict:
     """Strong equivalence: SE-model sets over var(p+q) coincide."""
-    _shared(p, q)
-    over = p.var | q.var
-    return _verdict(p, q, "strong", over, se_models(p, over) == se_models(q, over))
+    return decide(p, q, "strong")
 
 
 def decide_uniform(p: Program, q: Program) -> Verdict:
     """Uniform equivalence of finite programs: UE-model sets coincide."""
-    _shared(p, q)
-    over = p.var | q.var
-    return _verdict(p, q, "uniform", over, ue_models(p, over) == ue_models(q, over))
+    return decide(p, q, "uniform")

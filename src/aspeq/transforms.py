@@ -140,14 +140,20 @@ def check_shift_safe(p: Program, r: Rule, a: int) -> bool:
     return True
 
 
-def _fresh_atom(p: Program) -> str:
-    used = set(p.universe.names)
-    if "w" not in used:
-        return "w"
-    n = 1
-    while f"w{n}" in used:
-        n += 1
-    return f"w{n}"
+def _fresh_atom(p: Program, w: Optional[str]) -> str:
+    """The atom ``w``, checked to be a valid name that ``p`` does not use;
+    by default the first of w, w1, w2, ... that the universe lacks."""
+    if w is None:
+        used = set(p.universe.names)
+        w, n = "w", 0
+        while w in used:
+            n += 1
+            w = f"w{n}"
+    if not ATOM_RE.fullmatch(w or ""):
+        raise ValueError(f"invalid atom name: {w!r}")
+    if w in p.universe.index and (p.var >> p.universe.index[w]) & 1:
+        raise ValueError(f"{w!r} occurs in the program")
+    return w
 
 
 def eliminate_constraints_negation(p: Program, w: Optional[str] = None) -> tuple[Program, int]:
@@ -156,13 +162,7 @@ def eliminate_constraints_negation(p: Program, w: Optional[str] = None) -> tuple
     Returns the rewritten program and the recommended alphabet for
     relativized checks: every universe atom except ``w``.
     """
-    name = w if w is not None else _fresh_atom(p)
-    if not ATOM_RE.fullmatch(name or ""):
-        raise ValueError(f"invalid atom name: {name!r}")
-    if name in p.universe.index and (p.var >> p.universe.index[name]) & 1:
-        raise ValueError(f"{name!r} occurs in the program")
-    wid = p.universe.intern(name)
-    wbit = 1 << wid
+    wbit = 1 << p.universe.intern(_fresh_atom(p, w))
     rules = set()
     for r in p.rules:
         if r.head == 0:
@@ -179,14 +179,8 @@ def eliminate_constraints_positive(p: Program, w: Optional[str] = None) -> Progr
     constraint is present."""
     if any(r.neg for r in p.rules):
         raise ValueError("program is not positive")
-    name = w if w is not None else _fresh_atom(p)
-    if not ATOM_RE.fullmatch(name or ""):
-        raise ValueError(f"invalid atom name: {name!r}")
-    if name in p.universe.index and (p.var >> p.universe.index[name]) & 1:
-        raise ValueError(f"{name!r} occurs in the program")
     spread = p.universe.full_mask
-    wid = p.universe.intern(name)
-    wbit = 1 << wid
+    wbit = 1 << p.universe.intern(_fresh_atom(p, w))
     rules = set()
     for r in p.rules:
         if r.head == 0:

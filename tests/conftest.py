@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from aspeq.equivalence import Witness
 from aspeq.harness import GeneratorConfig, random_program
 from aspeq.relativized import ASEPair
-from aspeq.semantics import _y_is_a_minimal_for_reduct, is_model, proper_submasks, reduct, submasks
-from aspeq.syntax import Program, Rule, Universe, parse_program
+from aspeq.semantics import _y_is_a_minimal_for_reduct, answer_sets, is_model, proper_submasks, reduct, submasks
+from aspeq.syntax import Program, Rule, Universe, bits, facts_program, parse_program
 
 
 # one "[acceptance] criterion N: PASS/FAIL" line per criterion, emitted
@@ -80,3 +81,40 @@ def aue_direct(p: Program, a: int, over: int) -> list[ASEPair]:
             if not blocked and any(is_model(x | t, red) for t in submasks(y & ~a)):
                 out.append(ASEPair(x, y, a))
     return sorted(out, key=lambda pr: (pr.y, pr.x))
+
+
+def strong_witness_reference(p: Program, q: Program, a: int) -> Witness:
+    """The unary-context witness search with an answer-set test of every
+    candidate, a reference for ``build_strong_witness`` (which returns its
+    first candidate and leaves the one test to ``_check_witness``).
+
+    Y runs in ascending order, both argument orders; a candidate context
+    is kept only when Y is an answer set of the first program plus the
+    context and not of the second.
+    """
+    for y in submasks(p.var | q.var | a):
+        for first, second, side in ((p, q, "left"), (q, p, "right")):
+            if not is_model(y, first):
+                continue
+            red_first = reduct(first, y)
+            if not _y_is_a_minimal_for_reduct(red_first, y, a):
+                continue
+            contexts = []
+            if not is_model(y, second):
+                contexts.append(facts_program(y & a, p.universe))
+            else:
+                red_second = reduct(second, y)
+                for x in submasks(y):
+                    if x == y or not is_model(x, red_second):
+                        continue
+                    if any((x2 & a) == (x & a) and is_model(x2, red_first) for x2 in submasks(y) if x2 != y):
+                        continue
+                    grow = (y & ~x) & a
+                    rules = {Rule(1 << i, 0, 0) for i in bits(x & a)}
+                    rules |= {Rule(1 << i, 1 << j, 0) for i in bits(grow) for j in bits(grow) if i != j}
+                    contexts.append(Program(frozenset(rules), p.universe))
+                    break
+            for ctx in contexts:
+                if y in answer_sets(first | ctx) and y not in answer_sets(second | ctx):
+                    return Witness(ctx, y, side)
+    raise AssertionError("no witness found; programs appear strongly equivalent")

@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 
 import aspeq
 from aspeq.equivalence import (
+    METHODS,
+    MODES,
     Verdict,
     VerificationError,
     Witness,
@@ -14,6 +17,7 @@ from aspeq.equivalence import (
     brute_force_oracle,
     build_strong_witness,
     build_uniform_witness,
+    decide,
     decide_horn_bounded,
     decide_horn_rel,
     decide_ordinary,
@@ -26,7 +30,7 @@ from aspeq.relativized import ase_models, aue_models
 from aspeq.semantics import answer_sets, is_horn, submasks
 from aspeq.syntax import Program, Rule, Universe
 
-from conftest import pair, prog, random_pair
+from conftest import pair, prog, random_pair, strong_witness_reference
 
 
 def test_verdict_invariants():
@@ -124,9 +128,9 @@ def test_auto_matches_generic_on_exhaustive_sweeps():
         for p in horn:
             for q in horn:
                 for a in submasks(over):
-                    for decide in (decide_rel_strong, decide_rel_uniform):
-                        auto = decide(p, q, a)
-                        generic = decide(p, q, a, method="generic")
+                    for decider in (decide_rel_strong, decide_rel_uniform):
+                        auto = decider(p, q, a)
+                        generic = decider(p, q, a, method="generic")
                         assert auto.method == "horn" and generic.method == "generic"
                         assert auto.equivalent == generic.equivalent, (p.rules, q.rules, a)
 
@@ -136,8 +140,8 @@ def test_auto_routes_non_horn_pairs_to_generic():
     hcf = pair("a | b.", "a :- not b. b :- not a.")
     cyclic = pair("a | b. a :- b. b :- a.", "a. b.")
     for p, q, uni in (normal, hcf, cyclic):
-        for decide in (decide_rel_strong, decide_rel_uniform):
-            assert decide(p, q, uni.full_mask).method == "generic"
+        for decider in (decide_rel_strong, decide_rel_uniform):
+            assert decider(p, q, uni.full_mask).method == "generic"
     p, q, uni = pair("a. b :- a.", "a. b.")
     assert decide_rel_strong(p, q, uni.full_mask).method == "horn"
     assert decide_rel_uniform(p, q, uni.full_mask, method="generic").method == "generic"
@@ -148,9 +152,44 @@ def test_auto_routes_non_horn_pairs_to_generic():
 def test_unknown_method_is_rejected():
     p, q, uni = pair("a | b.", "a :- not b. b :- not a.")
     for method in ("normal", "hcf", "Generic", ""):
-        for decide in (decide_rel_strong, decide_rel_uniform):
+        for decider in (decide_rel_strong, decide_rel_uniform):
             with pytest.raises(ValueError, match="unknown method"):
-                decide(p, q, uni.full_mask, method=method)
+                decider(p, q, uni.full_mask, method=method)
+        for mode in MODES:
+            with pytest.raises(ValueError, match="unknown method"):
+                decide(p, q, mode, uni.full_mask, method)
+    for mode in ("weak", "rel-ordinary", ""):
+        with pytest.raises(ValueError, match="unknown mode"):
+            decide(p, q, mode)
+
+
+def test_strong_and_uniform_are_full_alphabet_rows():
+    # same verdict and witness as the relativized row at A = var(p ∪ q);
+    # the non-relativized modes take no route, whatever `method` says
+    for seed in range(40):
+        p, q, uni, _ = random_pair(seed, atoms=3, max_rules=4)
+        for mode in ("strong", "uniform"):
+            row = decide(p, q, "rel-" + mode, uni.full_mask, "generic")
+            for method in METHODS:
+                v = decide(p, q, mode, method=method)
+                assert (v.equivalent, v.alphabet, v.witness) == (row.equivalent, row.alphabet, row.witness)
+                assert v.mode == mode and v.method is None
+        for method in METHODS:
+            assert decide(p, q, "ordinary", method=method).method is None
+
+
+def test_strong_witness_matches_the_reference_search():
+    # a sample of the exhaustive families' pairs, every alphabet: the first
+    # candidate context (what `build_strong_witness` returns into the
+    # verdict) is the one the search with an answer-set test per candidate
+    # keeps
+    for (atoms, max_rules), stride in (((2, 2), 101), ((3, 1), 23)):
+        _, over, progs = _setup(atoms, max_rules)
+        for p, q in islice(product(progs, progs), 0, None, stride):
+            for a in submasks(over):
+                v = decide_rel_strong(p, q, a, method="generic")
+                if not v.equivalent:
+                    assert v.witness == strong_witness_reference(p, q, v.alphabet), (p.rules, q.rules, a)
 
 
 def test_decide_horn_rel_example():

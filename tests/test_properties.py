@@ -7,10 +7,9 @@ from aspeq.equivalence import (
     decide_rel_strong,
     decide_rel_uniform,
 )
-from aspeq.harness import GeneratorConfig, random_program
+from aspeq.harness import GeneratorConfig, random_program, sm_from_se
 from aspeq.relativized import ase_models
 from aspeq.se import (
-    answer_sets_via_se,
     decide_strong,
     decide_uniform,
     is_se_model,
@@ -62,7 +61,7 @@ def test_reduct_is_positive_and_idempotent(seed):
 def test_answer_sets_match_se_characterization(seed):
     uni = Universe("abc")
     p = make(seed, uni)
-    assert sorted(answer_sets(p)) == sorted(answer_sets_via_se(p, p.var))
+    assert sorted(answer_sets(p)) == sorted(sm_from_se(se_models(p, p.var)))
 
 
 @SETTINGS

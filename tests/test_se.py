@@ -1,7 +1,7 @@
 import pytest
 
+from aspeq.harness import sm_from_se
 from aspeq.se import (
-    answer_sets_via_se,
     decide_strong,
     decide_uniform,
     is_se_model,
@@ -104,7 +104,7 @@ def test_answer_sets_via_se_matches_direct():
     for text in ["a | b.", "a :- not b. b :- not a.", "a :- not a.", "", ". "]:
         uni = Universe(["a", "b"])
         p = prog(text, uni)
-        assert sorted(answer_sets_via_se(p, p.var)) == sorted(answer_sets(p))
+        assert sorted(sm_from_se(se_models(p, p.var))) == sorted(answer_sets(p))
 
 
 def test_decide_strong_goldens():
