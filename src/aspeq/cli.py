@@ -43,7 +43,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapacityError as e:
         print(f"capacity exceeded: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # OSError: an input file that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="exhaustive property sweep")
     sweep.add_argument("--property", required=True, choices=sorted(PROPERTIES))
-    sweep.add_argument("--atoms", type=int, default=2)
+    sweep.add_argument("--atoms", type=int, default=2, choices=(1, 2, 3))
     sweep.add_argument("--max-rules", type=int, default=None)
     _add_format_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)

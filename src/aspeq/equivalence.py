@@ -14,6 +14,7 @@ by direct answer-set computation before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Iterable, Iterator, Optional
 
 from .semantics import (
@@ -88,9 +89,10 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     "rel-strong" and "rel-uniform" rows at A = var(p ∪ q), always
     enumerated; ``a`` is ignored for these three.  The relativized rows
     use ``a & var(p ∪ q)`` (default: every atom) and ``method``: "generic"
-    compares the enumerated A-SE-models (A-UE-models for rel-uniform),
-    "horn" runs the fact-extension decision for Horn programs, and "auto"
-    takes "horn" when both programs are Horn and "generic" otherwise.
+    streams the A-SE-models (A-UE-models for rel-uniform) and stops at the
+    first Y where they differ, where the strong kinds' witness search
+    starts; "horn" runs the fact-extension decision for Horn programs, and
+    "auto" takes "horn" when both programs are Horn and "generic" otherwise.
     ``method`` is validated in every mode.
     """
     _shared(p, q)
@@ -114,10 +116,20 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     left, right = _ase_pairs(p, a, over), _ase_pairs(q, a, over)
     if not strong:
         left, right = _maximal_pairs(left), _maximal_pairs(right)
-    if left == right:
+    y = _first_difference(left, right)
+    if y is None:
         return Verdict(True, mode, a, None, route)
-    build = build_strong_witness if strong else build_uniform_witness
-    return Verdict(False, mode, a, build(p, q, a), route)
+    w = _strong_witness(p, q, a, y) if strong else build_uniform_witness(p, q, a)
+    return Verdict(False, mode, a, w, route)
+
+
+def _first_difference(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]) -> Optional[int]:
+    """The least Y in the symmetric difference of two ``(y, x)``-ordered pair
+    streams, read up to their first differing position, or None if equal."""
+    for lp, rp in zip_longest(left, right):
+        if lp != rp:
+            return min(pr[1] for pr in (lp, rp) if pr is not None)
+    return None
 
 
 def decide_ordinary(p: Program, q: Program) -> Verdict:
@@ -192,16 +204,24 @@ def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
     Y must model the first program with no smaller model agreeing on the
     alphabet, and either fail the second program (context = facts of
     Y ∩ a) or admit an X below Y modelling the second program's reduct
-    that no alphabet-equal X' can match on the first (context = facts of
-    X ∩ a plus all unary rules between distinct atoms of (Y \\ X) ∩ a).
-    The first such context is the witness: the A-minimality of Y and the
-    condition on X make Y an answer set of the first program plus the
-    context and not of the second, which ``_check_witness`` re-verifies.
+    that no alphabet-equal X' = (X ∩ a) ∪ T, T ⊆ Y \\ a, X' ≠ Y, can match
+    on the first (context = facts of X ∩ a plus all unary rules between
+    distinct atoms of (Y \\ X) ∩ a).  The first such context is the
+    witness: the A-minimality of Y and the condition on X make Y an answer
+    set of the first program plus the context and not of the second, which
+    ``_check_witness`` re-verifies.  Such a Y is one where the A-SE-models
+    differ, so ``decide`` starts the search at the first of those.
     """
     _shared(p, q)
+    return _strong_witness(p, q, a, 0)
+
+
+def _strong_witness(p: Program, q: Program, a: int, start: int) -> Witness:
+    # the search of `build_strong_witness`, over the subsets of `over` from `start` up
     over = p.var | q.var | a
     check_capacity(over)
-    for y in submasks(over):
+    y = start
+    while True:
         for first, second, side in ((p, q, "left"), (q, p, "right")):
             if not is_model(y, first):
                 continue
@@ -213,28 +233,25 @@ def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
                 ctx = facts_program(y & a, p.universe)
             else:
                 red_second = reduct(second, y)
+                free = list(submasks(y & ~a))
                 for x in submasks(y):
                     if x == y or not is_model(x, red_second):
                         continue
-                    if any(
-                        (x2 & a) == (x & a) and is_model(x2, red_first)
-                        for x2 in submasks(y)
-                        if x2 != y
-                    ):
+                    xa = x & a
+                    if any(xa | t != y and is_model(xa | t, red_first) for t in free):
                         continue
-                    rules = {Rule(1 << i, 0, 0) for i in bits(x & a)}
                     grow = (y & ~x) & a
-                    for i in bits(grow):
-                        for j in bits(grow):
-                            if i != j:
-                                rules.add(Rule(1 << i, 1 << j, 0))
+                    rules = {Rule(1 << i, 0, 0) for i in bits(xa)}
+                    rules |= {Rule(1 << i, 1 << j, 0) for i in bits(grow) for j in bits(grow) if i != j}
                     ctx = Program(frozenset(rules), p.universe)
                     break
             if ctx is not None:
                 w = Witness(ctx, y, side)
                 _check_witness(p, q, w)
                 return w
-    raise AssertionError("no witness found; programs appear strongly equivalent")
+        if y == over:
+            raise AssertionError("no witness found; programs appear strongly equivalent")
+        y = ((y | ~over) + 1) & over  # the next subset of `over`
 
 
 def build_uniform_witness(p: Program, q: Program, a: int) -> Witness:
@@ -331,18 +348,15 @@ def _horn_direction(
     for u in submasks(v):
         pinned_u = {Rule(1 << prime[i], 0, 0) for i in bits(u)}
         pinned_u |= {Rule(0, 1 << prime[i], 0) for i in bits(v & ~u)}
-        found = False
         for w in submasks(u):
             pinned_w = {Rule(1 << i, 0, 0) for i in bits(w)}
             pinned_w |= {Rule(0, 1 << i, 0) for i in bits(v & ~w)}
             theory = Program(renamed | pinned_u | pinned_w, uni)
             if all(horn_entails(theory, r) for r in second.rules):
-                found = True
                 break
-        if found:
-            continue
-        if not _direction_exact_for_u(first, second, a, v, u):
-            return False
+        else:
+            if not _direction_exact_for_u(first, second, a, v, u):
+                return False
     return True
 
 

@@ -91,11 +91,7 @@ def family_rules(universe: Universe, over: int, max_head: int = 2, max_pos: int 
 def family_programs(universe: Universe, over: int, max_rules: int = 2) -> list[Program]:
     """All programs assembled from at most ``max_rules`` family rules."""
     rules = family_rules(universe, over)
-    out = []
-    for k in range(max_rules + 1):
-        for combo in itertools.combinations(rules, k):
-            out.append(Program(frozenset(combo), universe))
-    return out
+    return [Program(frozenset(c), universe) for k in range(max_rules + 1) for c in itertools.combinations(rules, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +214,10 @@ class SweepReport:
 
 def exhaustive_sweep(atom_count: int, prop: str, max_rules: Optional[int] = None) -> SweepReport:
     """Evaluate a registered property over the exhaustive program family."""
-    if atom_count > 3:
-        raise ValueError("exhaustive sweeps support at most 3 atoms")
+    if not 1 <= atom_count <= 3:
+        raise ValueError("exhaustive sweeps support 1 to 3 atoms")
+    if max_rules is not None and max_rules < 0:
+        raise ValueError("max_rules must not be negative")
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
     if max_rules is None:

@@ -3,7 +3,8 @@
 An SE-pair is an ordered pair of interpretation masks ``(x, y)`` with
 ``x`` a subset of ``y``.  SE-models are the pair kernel's A-SE-models with
 ``a = over`` (``semantics._ase_pairs``) and UE-models its maximal pairs;
-listings are sorted by ``(y, x)``, and ``over`` must cover var(p).
+the listings are lists sorted by ``(y, x)`` (``decide`` reads the kernel's
+stream and stops at the first differing Y), and ``over`` must cover var(p).
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ def se_models(p: Program, over: Optional[int] = None) -> list[SEPair]:
     """All SE-models of ``p`` over the atoms in ``over`` (default var(p))."""
     if over is None:
         over = p.var
-    return _ase_pairs(p, over, over)
+    return list(_ase_pairs(p, over, over))
 
 
 def ue_models(p: Program, over: Optional[int] = None) -> list[SEPair]:
     """SE-models that are total or maximal among the non-total ones per y."""
-    return _maximal_pairs(se_models(p, over))
+    return list(_maximal_pairs(se_models(p, over)))
 
 
 def se_consequence(p: Program, r: Rule) -> bool:

@@ -2,14 +2,16 @@
 the pair kernel under the SE-, UE-, A-SE- and A-UE-model listings.
 
 All enumeration is exhaustive over bit masks and guarded by a capacity cap
-(24 atoms by default); every function here is pure.
+(24 atoms by default); every function here is pure.  The pair kernel
+streams its pairs in ``(y, x)`` order: the deciders stop at the first Y
+where two programs differ, and the public listings are sorted lists of it.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .syntax import Program, Rule, Universe, bits
 
@@ -84,11 +86,7 @@ def classical_models(p: Program, over: Optional[int] = None) -> list[int]:
 def minimal_models(p: Program, over: Optional[int] = None) -> list[int]:
     models = classical_models(p, over)
     model_set = set(models)
-    out = []
-    for y in models:
-        if not any(x in model_set for x in proper_submasks(y)):
-            out.append(y)
-    return out
+    return [y for y in models if not any(x in model_set for x in proper_submasks(y))]
 
 
 def answer_sets(p: Program) -> list[int]:
@@ -112,9 +110,10 @@ def _y_is_a_minimal_for_reduct(red: Program, y: int, a: int) -> bool:
     return not any(is_model(fixed | t, red) for t in proper_submasks(y & ~a))
 
 
-def _ase_pairs(p: Program, a: int, over: int) -> list[tuple[int, int]]:
-    """The A-SE-models ``(x, y)`` of ``p`` over ``over``, sorted by ``(y, x)``;
-    with ``a = over`` these are the SE-models.  ``over`` must cover var(p).
+def _ase_pairs(p: Program, a: int, over: int) -> Iterator[tuple[int, int]]:
+    """The A-SE-models ``(x, y)`` of ``p`` over ``over``, streamed in
+    ``(y, x)`` order; with ``a = over`` these are the SE-models.  ``over``
+    must cover var(p); it and the capacity are checked at the call.
 
     ``y`` must model ``p`` with no ``y'`` below it, agreeing on ``a``,
     modelling the reduct; then ``(y, y)`` is a pair, and so is each ``x``
@@ -124,7 +123,10 @@ def _ase_pairs(p: Program, a: int, over: int) -> list[tuple[int, int]]:
     if p.var & ~over:
         raise ValueError("`over` must cover var(p)")
     check_capacity(over)
-    out = []
+    return _ase_stream(p, a, over)
+
+
+def _ase_stream(p: Program, a: int, over: int) -> Iterator[tuple[int, int]]:
     for y in submasks(over):
         if not is_model(y, p):
             continue
@@ -134,26 +136,24 @@ def _ase_pairs(p: Program, a: int, over: int) -> list[tuple[int, int]]:
         ya = y & a
         ext = list(submasks(y & ~a))
         for x in submasks(ya):
-            if x == ya:  # the last submask; (y, y) is appended below
+            if x == ya:  # the last submask; (y, y) is yielded below
                 break
             for t in ext:
                 if is_model(x | t, red):
-                    out.append((x, y))
+                    yield x, y
                     break
-        out.append((y, y))
-    return out
+        yield y, y
 
 
-def _maximal_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The total pairs of a ``(y, x)``-sorted listing, and the non-total
-    pairs with no strict superset among the non-total pairs of their ``y``."""
-    out = []
+def _maximal_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The total pairs of a ``(y, x)``-sorted stream, and the non-total
+    pairs with no strict superset among the non-total pairs of their ``y``,
+    streamed one ``y`` at a time in the same order."""
     for y, run in groupby(pairs, key=itemgetter(1)):
         xs = [x for x, _ in run]
         # a strict superset of x sorts after it within the run
-        out += [(x, y) for i, x in enumerate(xs)
-                if x == y or not any(x2 != y and not x & ~x2 for x2 in xs[i + 1:])]
-    return out
+        yield from ((x, y) for i, x in enumerate(xs)
+                    if x == y or not any(x2 != y and not x & ~x2 for x2 in xs[i + 1:]))
 
 
 def _sat_pos(i: int, r: Rule) -> bool:

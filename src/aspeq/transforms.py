@@ -19,11 +19,7 @@ def shift_rule(r: Rule) -> frozenset[Rule]:
     """One normal rule per head atom; constraints are returned unchanged."""
     if r.head == 0:
         return frozenset([r])
-    out = set()
-    for i in bits(r.head):
-        bit = 1 << i
-        out.add(Rule(bit, r.pos, r.neg | (r.head & ~bit)))
-    return frozenset(out)
+    return frozenset(Rule(1 << i, r.pos, r.neg | (r.head & ~(1 << i))) for i in bits(r.head))
 
 
 def shift_one(p: Program, r: Rule) -> Program:
@@ -34,10 +30,7 @@ def shift_one(p: Program, r: Rule) -> Program:
 
 
 def shift_program(p: Program) -> Program:
-    rules: set[Rule] = set()
-    for r in p.rules:
-        rules |= shift_rule(r)
-    return Program(frozenset(rules), p.universe)
+    return Program(frozenset(s for r in p.rules for s in shift_rule(r)), p.universe)
 
 
 def s_r(r: Rule, over: int) -> list[tuple[int, int]]:

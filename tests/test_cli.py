@@ -155,3 +155,21 @@ def test_sweep_ok_and_json(capsys):
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["counterexamples"] == [] and doc["checked"] > 0
+
+
+@pytest.mark.parametrize("argv", [["check", "{bad}", "{ok}"], ["check", "{ok}", "{bad}"],
+                                  ["models", "{bad}"], ["shift", "{bad}"]])
+def test_unreadable_input_is_a_usage_error(lp, tmp_path, capsys, argv):
+    ok = lp("ok.lp", "a.")
+    for bad in (str(tmp_path / "missing.lp"), str(tmp_path)):
+        assert main([arg.format(bad=bad, ok=ok) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err and "Traceback" not in err
+
+
+def test_sweep_rejects_bad_bounds(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["sweep", "--property", "hierarchy", "--atoms", "-1"])
+    assert e.value.code == 2
+    assert main(["sweep", "--property", "hierarchy", "--max-rules", "-1"]) == 2
+    assert "error: max_rules must not be negative" in capsys.readouterr().err

@@ -192,6 +192,30 @@ def test_strong_witness_matches_the_reference_search():
                     assert v.witness == strong_witness_reference(p, q, v.alphabet), (p.rules, q.rules, a)
 
 
+def _chain(k: int, shifted: int = -1) -> str:
+    # x_i | y_i.  x_{i+1} :- x_i, not y_{i+1}.  with the disjunction at
+    # `shifted` replaced by its shift
+    rules = []
+    for i in range(k):
+        rules += [f"x{i} :- not y{i}.", f"y{i} :- not x{i}."] if i == shifted else [f"x{i} | y{i}."]
+        if i + 1 < k:
+            rules.append(f"x{i + 1} :- x{i}, not y{i + 1}.")
+    return " ".join(rules)
+
+
+@pytest.mark.parametrize("k,shifted", [(3, 2), (4, 1), (4, 3), (5, 2), (5, 4)])
+def test_strong_witness_matches_the_reference_on_shifted_chains(k, shifted):
+    # 6-10 atoms, beyond the exhaustive families: the alphabet-equal X'
+    # scan of the builder, under the full alphabet (no atom off it) and
+    # under the x-atoms plus the shifted y-atom
+    p, q, uni = pair(_chain(k), _chain(k, shifted))
+    xs = uni.mask_of([f"x{i}" for i in range(k)])
+    for a in (uni.full_mask, xs | uni.mask_of([f"y{shifted}"])):
+        v = decide(p, q, "rel-strong", a, "generic")
+        assert not v.equivalent
+        assert v.witness == strong_witness_reference(p, q, v.alphabet), (k, shifted, uni.fmt(a))
+
+
 def test_decide_horn_rel_example():
     p, q, uni = pair("g :- v. :- v, vb.", "g :- v. :- v, vb. :- g.")
     a = uni.mask_of(["v", "vb"])

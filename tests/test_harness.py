@@ -129,6 +129,13 @@ def test_strong_and_unary_signatures_agree():
 def test_exhaustive_sweep_validation():
     with pytest.raises(ValueError):
         exhaustive_sweep(4, "hierarchy")
+    # a negative count would slice the atom names from the end (a 7-atom family)
+    with pytest.raises(ValueError, match="1 to 3 atoms"):
+        exhaustive_sweep(-1, "hierarchy")
+    with pytest.raises(ValueError, match="1 to 3 atoms"):
+        exhaustive_sweep(0, "hierarchy")
+    with pytest.raises(ValueError, match="must not be negative"):
+        exhaustive_sweep(2, "hierarchy", -1)
     with pytest.raises(ValueError):
         exhaustive_sweep(2, "no-such-property")
 

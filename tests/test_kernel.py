@@ -1,13 +1,16 @@
 """The pair kernel under the SE-, UE-, A-SE- and A-UE-model listings,
 checked against the per-pair definitions on the exhaustive families."""
 
+from itertools import islice, product
+
 import pytest
 
+from aspeq.equivalence import _first_difference
 from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.relativized import ASEPair, ase_models, aue_models, is_ase_model, valid_shape
 from aspeq.se import is_se_model, se_models, ue_models
-from aspeq.semantics import submasks
-from aspeq.syntax import Universe
+from aspeq.semantics import CapacityError, _ase_pairs, _maximal_pairs, submasks
+from aspeq.syntax import Universe, facts_program
 
 from conftest import prog
 
@@ -62,3 +65,35 @@ def test_over_must_cover_program_atoms():
         ue_models(p, a)
     with pytest.raises(ValueError, match="cover var"):
         aue_models(p, a, a)
+
+
+@pytest.mark.parametrize("atoms,max_rules,stride", [(2, 2, 101), (3, 1, 23)])
+def test_first_difference_is_the_least_differing_y(atoms, max_rules, stride):
+    # the Y at which `decide` stops and the strong witness search starts
+    over, progs = _family(atoms, max_rules)
+    alphabets = list(submasks(over))
+    listings = {}
+    for i, p in enumerate(progs):
+        for a in alphabets:
+            full = list(_ase_pairs(p, a, over))
+            listings[i, a] = (full, list(_maximal_pairs(full)))
+    for i, j in islice(product(range(len(progs)), repeat=2), 0, None, stride):
+        for a in alphabets:
+            for kind, maximal in enumerate((False, True)):
+                left, right = _ase_pairs(progs[i], a, over), _ase_pairs(progs[j], a, over)
+                if maximal:
+                    left, right = _maximal_pairs(left), _maximal_pairs(right)
+                diff = set(listings[i, a][kind]) ^ set(listings[j, a][kind])
+                expect = min((y for _, y in diff), default=None)
+                assert _first_difference(left, right) == expect, (progs[i].rules, progs[j].rules, a, maximal)
+
+
+def test_pair_kernel_checks_its_arguments_at_the_call():
+    # no next(): the stream is never started
+    uni = Universe(["a", "b"])
+    p = prog("a :- not b. b :- not a.", uni)
+    with pytest.raises(ValueError, match="cover var"):
+        _ase_pairs(p, uni.full_mask, uni.mask_of(["a"]))
+    big = Universe([f"v{i}" for i in range(25)])
+    with pytest.raises(CapacityError):
+        _ase_pairs(facts_program(big.full_mask, big), big.full_mask, big.full_mask)
