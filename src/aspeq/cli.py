@@ -26,7 +26,7 @@ from .harness import PROPERTIES, exhaustive_sweep
 from .relativized import ase_models, aue_models
 from .se import se_models, ue_models
 from .semantics import CapacityError, answer_sets, classical_models
-from .syntax import ParseError, Program, Universe, parse_program, render, rule_to_str
+from .syntax import ParseError, Program, Universe, parse_program, render
 from .transforms import check_shift_safe, shift_one, shift_program
 
 MODEL_KINDS = ("as", "classical", "se", "ue", "ase", "aue")
@@ -163,7 +163,7 @@ def _verdict_json(v: Verdict, uni: Universe) -> dict:
     if v.witness is not None:
         w = v.witness
         out["witness"] = {
-            "context": [rule_to_str(r, uni) for r in sorted(w.context.rules, key=lambda r: (r.head, r.pos, r.neg))],
+            "context": render(w.context).splitlines(),
             "distinguishing": list(uni.decode(w.distinguishing)),
             "side": w.side,
         }
@@ -216,10 +216,9 @@ def cmd_shift(args) -> int:
         rules = [target] if target is not None else ordered
         safe = all(check_shift_safe(p, r, a) for r in rules if r.head.bit_count() >= 2)
     if args.format == "json":
-        out_rules = sorted(shifted.rules, key=lambda r: (r.head, r.pos, r.neg))
         print(json.dumps({
             "schema": 1,
-            "program": [rule_to_str(r, uni) for r in out_rules],
+            "program": render(shifted).splitlines(),
             "safe": safe,
         }))
     else:

@@ -90,8 +90,8 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     enumerated; ``a`` is ignored for these three.  The relativized rows
     use ``a & var(p ∪ q)`` (default: every atom) and ``method``: "generic"
     streams the A-SE-models (A-UE-models for rel-uniform) and stops at the
-    first Y where they differ, where the strong kinds' witness search
-    starts; "horn" runs the fact-extension decision for Horn programs, and
+    first Y where they differ, where the strong kinds' witness is built;
+    "horn" runs the fact-extension decision for Horn programs, and
     "auto" takes "horn" when both programs are Horn and "generic" otherwise.
     ``method`` is validated in every mode.
     """
@@ -200,58 +200,56 @@ def _pairs_by_check(a: int, over: int, member) -> list[ASEPair]:
 def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
     """Unary context separating two rel-strong-inequivalent programs.
 
-    Searches interpretations Y in ascending order, both argument orders:
-    Y must model the first program with no smaller model agreeing on the
-    alphabet, and either fail the second program (context = facts of
-    Y ∩ a) or admit an X below Y modelling the second program's reduct
-    that no alphabet-equal X' = (X ∩ a) ∪ T, T ⊆ Y \\ a, X' ≠ Y, can match
-    on the first (context = facts of X ∩ a plus all unary rules between
-    distinct atoms of (Y \\ X) ∩ a).  The first such context is the
-    witness: the A-minimality of Y and the condition on X make Y an answer
-    set of the first program plus the context and not of the second, which
-    ``_check_witness`` re-verifies.  Such a Y is one where the A-SE-models
-    differ, so ``decide`` starts the search at the first of those.
+    Built at the least interpretation Y where the A-SE-models of the two
+    programs over var(p ∪ q) ∪ a differ, the same search ``decide`` runs.
+    In either argument order, Y models the first program with no smaller
+    model agreeing on the alphabet, and either fails the second program
+    (context = facts of Y ∩ a) or admits an X below Y modelling the second
+    program's reduct that no alphabet-equal X' = (X ∩ a) ∪ T, T ⊆ Y \\ a,
+    X' ≠ Y, can match on the first (context = facts of X ∩ a plus all
+    unary rules between distinct atoms of (Y \\ X) ∩ a).  The A-minimality
+    of Y and the condition on X make Y an answer set of the first program
+    plus the context and not of the second, which ``_check_witness``
+    re-verifies.  Raises ``AssertionError`` when the listings agree.
     """
     _shared(p, q)
-    return _strong_witness(p, q, a, 0)
-
-
-def _strong_witness(p: Program, q: Program, a: int, start: int) -> Witness:
-    # the search of `build_strong_witness`, over the subsets of `over` from `start` up
     over = p.var | q.var | a
-    check_capacity(over)
-    y = start
-    while True:
-        for first, second, side in ((p, q, "left"), (q, p, "right")):
-            if not is_model(y, first):
-                continue
-            red_first = reduct(first, y)
-            if not _y_is_a_minimal_for_reduct(red_first, y, a):
-                continue
-            ctx = None
-            if not is_model(y, second):
-                ctx = facts_program(y & a, p.universe)
-            else:
-                red_second = reduct(second, y)
-                free = list(submasks(y & ~a))
-                for x in submasks(y):
-                    if x == y or not is_model(x, red_second):
-                        continue
-                    xa = x & a
-                    if any(xa | t != y and is_model(xa | t, red_first) for t in free):
-                        continue
-                    grow = (y & ~x) & a
-                    rules = {Rule(1 << i, 0, 0) for i in bits(xa)}
-                    rules |= {Rule(1 << i, 1 << j, 0) for i in bits(grow) for j in bits(grow) if i != j}
-                    ctx = Program(frozenset(rules), p.universe)
-                    break
-            if ctx is not None:
-                w = Witness(ctx, y, side)
-                _check_witness(p, q, w)
-                return w
-        if y == over:
-            raise AssertionError("no witness found; programs appear strongly equivalent")
-        y = ((y | ~over) + 1) & over  # the next subset of `over`
+    y = _first_difference(_ase_pairs(p, a, over), _ase_pairs(q, a, over))
+    if y is None:
+        raise AssertionError("no witness found; programs appear strongly equivalent")
+    return _strong_witness(p, q, a, y)
+
+
+def _strong_witness(p: Program, q: Program, a: int, y: int) -> Witness:
+    # the context of `build_strong_witness` at `y`, the least Y where the A-SE-models differ
+    for first, second, side in ((p, q, "left"), (q, p, "right")):
+        if not is_model(y, first):
+            continue
+        red_first = reduct(first, y)
+        if not _y_is_a_minimal_for_reduct(red_first, y, a):
+            continue
+        ctx = None
+        if not is_model(y, second):
+            ctx = facts_program(y & a, p.universe)
+        else:
+            red_second = reduct(second, y)
+            free = list(submasks(y & ~a))
+            for x in submasks(y):
+                if x == y or not is_model(x, red_second):
+                    continue
+                xa = x & a
+                if any(xa | t != y and is_model(xa | t, red_first) for t in free):
+                    continue
+                grow = (y & ~x) & a
+                rules = {Rule(1 << i, 0, 0) for i in bits(xa)}
+                rules |= {Rule(1 << i, 1 << j, 0) for i in bits(grow) for j in bits(grow) if i != j}
+                ctx = Program(frozenset(rules), p.universe)
+                break
+        if ctx is not None:
+            w = Witness(ctx, y, side)
+            _check_witness(p, q, w)
+            return w
+    raise AssertionError(f"no witness at the first differing Y {y}")
 
 
 def build_uniform_witness(p: Program, q: Program, a: int) -> Witness:

@@ -231,15 +231,22 @@ def _setup(atom_count: int, max_rules: int):
     return uni, over, family_programs(uni, over, max_rules)
 
 
-def _sweep_programs(name: str, atom_count: int, max_rules: int, check) -> SweepReport:
-    uni, over, progs = _setup(atom_count, max_rules)
+def _sweep(name: str, cases: Iterable[tuple], check) -> SweepReport:
+    # `check(*case)` returns a counterexample message or None; stops at 20
     report = SweepReport(name, 0)
-    for p in progs:
+    for case in cases:
         report.checked += 1
-        err = check(p, uni, over)
+        err = check(*case)
         if err:
             report.counterexamples.append(err)
+            if len(report.counterexamples) >= 20:
+                break
     return report
+
+
+def _sweep_programs(name: str, atom_count: int, max_rules: int, check) -> SweepReport:
+    uni, over, progs = _setup(atom_count, max_rules)
+    return _sweep(name, ((p, uni, over) for p in progs), check)
 
 
 def _prop_ue_subset_se(atom_count, max_rules):
@@ -295,19 +302,13 @@ def _prop_small_alphabet(atom_count, max_rules):
     return _sweep_programs("small-alphabet-collapse", atom_count, max_rules, check)
 
 
-def _pairwise(name: str, atom_count: int, max_rules: int, precompute, compare) -> SweepReport:
+def _pairwise(name: str, atom_count: int, max_rules: int, precompute, compare, keep=None) -> SweepReport:
+    # every ordered pair of the family programs that pass `keep`
     uni, over, progs = _setup(atom_count, max_rules)
+    progs = [p for p in progs if keep is None or keep(p)]
     data = [precompute(p, uni, over) for p in progs]
-    report = SweepReport(name, 0)
-    for i, p in enumerate(progs):
-        for j, q in enumerate(progs):
-            report.checked += 1
-            err = compare(p, q, data[i], data[j], uni, over)
-            if err:
-                report.counterexamples.append(err)
-                if len(report.counterexamples) >= 20:
-                    return report
-    return report
+    cases = ((p, q, dp, dq, uni, over) for p, dp in zip(progs, data) for q, dq in zip(progs, data))
+    return _sweep(name, cases, compare)
 
 
 def _prop_hierarchy(atom_count, max_rules):
@@ -344,13 +345,7 @@ def _prop_uniform_oracle(atom_count, max_rules):
 
 def _prop_unary_oracle(atom_count, max_rules):
     def pre(p, uni, over):
-        per_a = {}
-        for a in submasks(over):
-            per_a[a] = (
-                frozenset(ase_models(p, a, over)),
-                unary_signature(p, a, over),
-            )
-        return per_a
+        return {a: (frozenset(ase_models(p, a, over)), unary_signature(p, a, over)) for a in submasks(over)}
 
     def cmp(p, q, dp, dq, uni, over):
         for a in dp:
@@ -362,61 +357,48 @@ def _prop_unary_oracle(atom_count, max_rules):
 
 
 def _prop_positive_collapse(atom_count, max_rules):
-    uni, over, progs = _setup(atom_count, max_rules)
-    progs = [p for p in progs if all(r.neg == 0 for r in p.rules)]
-    data = []
-    for p in progs:
-        per_a = {}
-        for a in submasks(over):
-            per_a[a] = (
+    def pre(p, uni, over):
+        return {
+            a: (
                 frozenset(ase_models(p, a, over)),
                 frozenset(aue_models(p, a, over)),
                 frozenset(a_minimal_models(p, a, over)),
             )
-        data.append(per_a)
-    report = SweepReport("positive-collapse", 0)
-    for i, p in enumerate(progs):
-        for j, q in enumerate(progs):
-            report.checked += 1
-            for a in data[i]:
-                s = data[i][a][0] == data[j][a][0]
-                u = data[i][a][1] == data[j][a][1]
-                m = data[i][a][2] == data[j][a][2]
-                if not (s == u == m):
-                    report.counterexamples.append(
-                        f"positive collapse fails at {uni.fmt(a)}: {p.rules} vs {q.rules}"
-                    )
-                    break
-            if len(report.counterexamples) >= 20:
-                return report
-    return report
+            for a in submasks(over)
+        }
+
+    def cmp(p, q, dp, dq, uni, over):
+        for a in dp:
+            s, u, m = (dp[a][k] == dq[a][k] for k in range(3))
+            if not (s == u == m):
+                return f"positive collapse fails at {uni.fmt(a)}: {p.rules} vs {q.rules}"
+        return None
+
+    return _pairwise("positive-collapse", atom_count, max_rules, pre, cmp,
+                     keep=lambda p: all(r.neg == 0 for r in p.rules))
+
+
+def _shift_cases(atom_count: int):
+    # per family rule r: r, the SE-models of {r} and of its shift, the atoms
+    uni = Universe(ATOM_NAMES[:atom_count])
+    over = uni.full_mask
+    for r in family_rules(uni, over):
+        se = set(se_models(Program(frozenset([r]), uni), over))
+        yield r, se, set(se_models(Program(shift_rule(r), uni), over)), over
 
 
 def _prop_shift_subset(atom_count, max_rules):
-    uni = Universe(ATOM_NAMES[:atom_count])
-    over = uni.full_mask
-    report = SweepReport("shift-subset", 0)
-    for r in family_rules(uni, over):
-        report.checked += 1
-        p = Program(frozenset([r]), uni)
-        ps = Program(shift_rule(r), uni)
-        if not set(se_models(p, over)) <= set(se_models(ps, over)):
-            report.counterexamples.append(f"SE not preserved by shift for rule {r}")
-    return report
+    def check(r, se, shifted, over):
+        return None if se <= shifted else f"SE not preserved by shift for rule {r}"
+
+    return _sweep("shift-subset", _shift_cases(atom_count), check)
 
 
 def _prop_shift_difference(atom_count, max_rules):
-    uni = Universe(ATOM_NAMES[:atom_count])
-    over = uni.full_mask
-    report = SweepReport("shift-difference", 0)
-    for r in family_rules(uni, over):
-        report.checked += 1
-        p = Program(frozenset([r]), uni)
-        ps = Program(shift_rule(r), uni)
-        diff = set(se_models(ps, over)) - set(se_models(p, over))
-        if diff != set(s_r(r, over)):
-            report.counterexamples.append(f"SE difference mismatch for rule {r}")
-    return report
+    def check(r, se, shifted, over):
+        return None if shifted - se == set(s_r(r, over)) else f"SE difference mismatch for rule {r}"
+
+    return _sweep("shift-difference", _shift_cases(atom_count), check)
 
 
 def _prop_degenerate(atom_count, max_rules):

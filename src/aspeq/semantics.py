@@ -30,12 +30,12 @@ def check_capacity(mask: int, cap: int = CAPACITY) -> None:
 
 def submasks(mask: int) -> Iterator[int]:
     """All subsets of ``mask`` in ascending unsigned order."""
-    positions = list(bits(mask))
-    for i in range(1 << len(positions)):
-        s = 0
-        for j in bits(i):
-            s |= 1 << positions[j]
+    s = 0
+    while True:
         yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
 
 
 def proper_submasks(mask: int) -> Iterator[int]:

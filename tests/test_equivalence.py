@@ -180,9 +180,9 @@ def test_strong_and_uniform_are_full_alphabet_rows():
 
 def test_strong_witness_matches_the_reference_search():
     # a sample of the exhaustive families' pairs, every alphabet: the first
-    # candidate context (what `build_strong_witness` returns into the
-    # verdict) is the one the search with an answer-set test per candidate
-    # keeps
+    # candidate context (what `decide` returns into the verdict and
+    # `build_strong_witness` returns on its own) is the one the search with
+    # an answer-set test per candidate keeps
     for (atoms, max_rules), stride in (((2, 2), 101), ((3, 1), 23)):
         _, over, progs = _setup(atoms, max_rules)
         for p, q in islice(product(progs, progs), 0, None, stride):
@@ -190,6 +190,7 @@ def test_strong_witness_matches_the_reference_search():
                 v = decide_rel_strong(p, q, a, method="generic")
                 if not v.equivalent:
                     assert v.witness == strong_witness_reference(p, q, v.alphabet), (p.rules, q.rules, a)
+                    assert build_strong_witness(p, q, v.alphabet) == v.witness, (p.rules, q.rules, a)
 
 
 def _chain(k: int, shifted: int = -1) -> str:

@@ -1,5 +1,6 @@
 import pytest
 
+from aspeq import harness
 from aspeq.classify import classify
 from aspeq.harness import (
     PROPERTIES,
@@ -18,7 +19,7 @@ from aspeq.harness import (
 )
 from aspeq.se import se_models
 from aspeq.semantics import answer_sets, submasks
-from aspeq.syntax import Program, Universe, facts_program
+from aspeq.syntax import Program, Rule, Universe, facts_program
 
 from conftest import prog, random_pair
 
@@ -145,3 +146,14 @@ def test_all_properties_pass_at_two_atoms():
         report = exhaustive_sweep(2, name)
         assert report.ok, (name, report.counterexamples[:3])
         assert report.checked > 0
+
+
+@pytest.mark.parametrize("prop,atoms,name,broken", [
+    ("answer-sets-se", 2, "answer_sets", lambda p: []),  # one program per case
+    ("positive-collapse", 2, "a_minimal_models", lambda p, a, over: []),  # pairs
+    ("shift-subset", 3, "shift_rule", lambda r: frozenset([Rule(0, 0, 0)])),  # one rule per case
+])
+def test_every_sweep_shape_stops_at_20_counterexamples(monkeypatch, prop, atoms, name, broken):
+    monkeypatch.setattr(harness, name, broken)
+    report = exhaustive_sweep(atoms, prop)
+    assert len(report.counterexamples) == 20

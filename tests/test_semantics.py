@@ -100,6 +100,17 @@ def test_answer_sets_of_falsity():
 def test_submask_orders():
     assert list(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
     assert list(proper_submasks(0b101)) == [0b100, 0b001, 0b000]
+    assert list(submasks(0)) == [0]
+    # a mask with gaps: every pick of its bit positions, ascending
+    mask = 0b1011001
+    positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    reference = sorted(sum(1 << positions[j] for j in range(len(positions)) if k >> j & 1)
+                       for k in range(1 << len(positions)))
+    assert list(submasks(mask)) == reference
+    # 16 bits spread over 32 positions
+    wide = list(submasks(0xAAAAAAAA))
+    assert len(set(wide)) == len(wide) == 1 << 16
+    assert wide == sorted(wide) and all(s & ~0xAAAAAAAA == 0 for s in wide)
 
 
 def test_capacity_guard():
