@@ -7,6 +7,8 @@ For each seeded random pair the script compares:
 * decide_rel_strong against the unary-context signature (alphabets of at
   most two atoms),
 * the Horn deciders against the generic enumerator on Horn pairs,
+* ase_check_normal / aue_check_hcf against ase_models / aue_models on
+  every candidate pair of a random normal / head-cycle-free program,
 * check_shift_safe against deciding equivalence of the shifted program.
 
 Example::
@@ -29,6 +31,7 @@ from aspeq.equivalence import (
     decide_rel_uniform,
 )
 from aspeq.harness import GeneratorConfig, random_program, unary_signature
+from aspeq.relativized import ASEPair, ase_check_normal, ase_models, aue_check_hcf, aue_models
 from aspeq.se import decide_uniform
 from aspeq.semantics import submasks
 from aspeq.syntax import Universe
@@ -46,6 +49,15 @@ def make_pair(seed: int, atoms: int, max_rules: int, require=()):
         GeneratorConfig(atoms, rng.randint(0, max_rules), seed + 900001, req), uni
     )
     return p, q, uni, rng
+
+
+def candidate_pairs(a: int, over: int):
+    """Every pair (x, y) over ``over`` with x = y or x strictly inside y ∩ a."""
+    for y in submasks(over):
+        yield ASEPair(y, y, a)
+        for x in submasks(y & a):
+            if x != y & a:
+                yield ASEPair(x, y, a)
 
 
 def main(argv=None) -> int:
@@ -90,6 +102,16 @@ def main(argv=None) -> int:
             if decider(hp, hq, ha).equivalent != want:
                 disagreements += 1
                 print(f"{decider.__name__} disagreement at seed {seed}")
+
+        for require, listing, check in (("normal", ase_models, ase_check_normal),
+                                        ("hcf", aue_models, aue_check_hcf)):
+            mp, _, muni, mrng = make_pair(seed, args.atoms, args.max_rules, require=[require])
+            ma, over = mrng.randint(0, muni.full_mask), muni.full_mask
+            models = set(listing(mp, ma, over))
+            checks += 1
+            if any(check(mp, pr, over) != (pr in models) for pr in candidate_pairs(ma, over)):
+                disagreements += 1
+                print(f"{check.__name__} disagreement at seed {seed}, alphabet {muni.fmt(ma)}")
 
         sp, _, suni, srng = make_pair(seed, args.atoms, args.max_rules)
         sa = srng.randint(0, suni.full_mask)

@@ -26,7 +26,7 @@ from .harness import PROPERTIES, exhaustive_sweep
 from .relativized import ase_models, aue_models
 from .se import se_models, ue_models
 from .semantics import CapacityError, answer_sets, classical_models
-from .syntax import ParseError, Program, Universe, parse_program, render
+from .syntax import ParseError, Program, Universe, canonical_rules, parse_program, render
 from .transforms import check_shift_safe, shift_one, shift_program
 
 MODEL_KINDS = ("as", "classical", "se", "ue", "ase", "aue")
@@ -201,7 +201,7 @@ def cmd_models(args) -> int:
 def cmd_shift(args) -> int:
     uni = Universe()
     p = _load(args.p, uni)
-    ordered = sorted(p.rules, key=lambda r: (r.head, r.pos, r.neg))
+    ordered = canonical_rules(p)
     if args.rule is not None:
         if not 1 <= args.rule <= len(ordered):
             raise ValueError(f"rule index {args.rule} out of range 1..{len(ordered)}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .semantics import (
     _ase_pairs,
@@ -24,14 +24,14 @@ from .semantics import (
     answer_sets,
     check_capacity,
     horn_least_model,
-    horn_entails,
+    horn_satisfiable,
     is_horn,
     is_model,
     reduct,
     submasks,
 )
 from .relativized import ASEPair
-from .syntax import Program, Rule, Universe, bits, facts_program
+from .syntax import Program, Rule, bits, facts_program
 
 MODES = ("ordinary", "strong", "uniform", "rel-strong", "rel-uniform")
 METHODS = ("auto", "generic", "horn")
@@ -147,10 +147,9 @@ def decide_rel_uniform(p: Program, q: Program, a: int, method: str = "auto") -> 
     return decide(p, q, "rel-uniform", a, method)
 
 
-def _fact_contexts(a: int, universe: Universe) -> Iterator[Program]:
-    """The fact programs over ``a``, smallest first, equal sizes by mask."""
-    for f in sorted(submasks(a), key=lambda m: (m.bit_count(), m)):
-        yield facts_program(f, universe)
+def _fact_contexts(a: int) -> list[int]:
+    """The fact masks over ``a``, smallest first, equal sizes by mask."""
+    return sorted(submasks(a), key=lambda m: (m.bit_count(), m))
 
 
 def _first_witness(p: Program, q: Program, contexts: Iterable[Program]) -> Optional[Witness]:
@@ -167,7 +166,7 @@ def _first_witness(p: Program, q: Program, contexts: Iterable[Program]) -> Optio
 def _fact_witness(p: Program, q: Program, a: int) -> Optional[Witness]:
     """The re-verified witness at the smallest fact set over ``a`` on which
     the answer sets differ, or None when every fact set agrees."""
-    w = _first_witness(p, q, _fact_contexts(a, p.universe))
+    w = _first_witness(p, q, (facts_program(f, p.universe) for f in _fact_contexts(a)))
     if w is not None:
         _check_witness(p, q, w)
     return w
@@ -276,12 +275,12 @@ def decide_horn_rel(p: Program, q: Program, a: int, mode: str = "rel-uniform") -
     a &= p.var | q.var
     if a.bit_count() > 20:
         raise ValueError("alphabet too large for fact-set enumeration")
-    for ctx in _fact_contexts(a, p.universe):
-        lp = horn_least_model(p | ctx)
-        lq = horn_least_model(q | ctx)
+    for f in _fact_contexts(a):
+        lp = horn_least_model(p, f)
+        lq = horn_least_model(q, f)
         if lp != lq:
             d = lp if lp is not None else lq
-            w = Witness(ctx, d, "left" if lp is not None else "right")
+            w = Witness(facts_program(f, p.universe), d, "left" if lp is not None else "right")
             _check_witness(p, q, w)
             return Verdict(False, mode, a, w, "horn")
     return Verdict(True, mode, a, None, "horn")
@@ -294,8 +293,10 @@ def decide_horn_bounded(p: Program, q: Program, a: int, mode: str = "rel-uniform
     each direction and each U ⊆ V the test looks for one W ⊆ U such that
     the first program with V renamed apart, pinned to exactly U on the
     renamed copy and exactly W on the original V-atoms, derives the second
-    program.  Such a uniform W is sufficient but not necessary, so when
-    none exists the condition is re-checked exactly per alphabet part.
+    program; the renamed V-atoms take the ids after the universe's own, and
+    no universe holds them.  Such a uniform W is sufficient but not
+    necessary, so when none exists the condition is re-checked exactly per
+    alphabet part.
     """
     _shared(p, q)
     if not (is_horn(p) and is_horn(q)):
@@ -307,50 +308,27 @@ def decide_horn_bounded(p: Program, q: Program, a: int, mode: str = "rel-uniform
         raise ValueError("too many atoms outside the alphabet")
     if a_eff.bit_count() > 20:
         raise ValueError("alphabet too large")
-    scratch, prime = _prime_map(p.universe, v)
-    if all(_horn_direction(f, s, a_eff, v, scratch, prime) for f, s in ((p, q), (q, p))):
+    if all(_horn_direction(f, s, a_eff, v) for f, s in ((p, q), (q, p))):
         return Verdict(True, mode, a_eff, None, "horn-bounded")
     return Verdict(False, mode, a_eff, build_uniform_witness(p, q, a_eff), "horn-bounded")
 
 
-def _prime_map(universe: Universe, v: int) -> tuple[Universe, dict[int, int]]:
-    # renamed-apart copies of the V-atoms, interned into a private copy of
-    # the universe so that the caller's stays as it was
-    scratch = Universe(universe.names)
-    mapping = {}
-    for i in bits(v):
-        fresh = universe.names[i] + "_r"
-        while fresh in scratch.index:
-            fresh += "_r"
-        mapping[i] = scratch.intern(fresh)
-    return scratch, mapping
+def _horn_direction(first: Program, second: Program, a: int, v: int) -> bool:
+    # every model of `first` must shrink, inside its own V-part and with the
+    # alphabet part untouched, to a model of `second`
+    prime = {i: len(first.universe) + k for k, i in enumerate(bits(v))}
 
-
-def _rename(p: Program, v: int, prime: dict[int, int]) -> frozenset[Rule]:
-    def remap(mask: int) -> int:
+    def rename(mask: int) -> int:
         out = mask & ~v
         for i in bits(mask & v):
             out |= 1 << prime[i]
         return out
 
-    return frozenset(Rule(remap(r.head), remap(r.pos), remap(r.neg)) for r in p.rules)
-
-
-def _horn_direction(
-    first: Program, second: Program, a: int, v: int, uni: Universe, prime: dict[int, int]
-) -> bool:
-    # every model of `first` must shrink, inside its own V-part and with the
-    # alphabet part untouched, to a model of `second`; `uni` holds the
-    # renamed copies
-    renamed = _rename(first, v, prime)
+    renamed = Program(frozenset(Rule(rename(r.head), rename(r.pos), 0) for r in first.rules), first.universe)
     for u in submasks(v):
-        pinned_u = {Rule(1 << prime[i], 0, 0) for i in bits(u)}
-        pinned_u |= {Rule(0, 1 << prime[i], 0) for i in bits(v & ~u)}
         for w in submasks(u):
-            pinned_w = {Rule(1 << i, 0, 0) for i in bits(w)}
-            pinned_w |= {Rule(0, 1 << i, 0) for i in bits(v & ~w)}
-            theory = Program(renamed | pinned_u | pinned_w, uni)
-            if all(horn_entails(theory, r) for r in second.rules):
+            pins, kills = rename(u) | w, rename(v & ~u) | (v & ~w)
+            if not any(horn_satisfiable(renamed, pins | r.pos, kills | r.head) for r in second.rules):
                 break
         else:
             if not _direction_exact_for_u(first, second, a, v, u):
@@ -359,16 +337,8 @@ def _horn_direction(
 
 
 def _direction_exact_for_u(first: Program, second: Program, a: int, v: int, u: int) -> bool:
-    kill_v = {Rule(0, 1 << i, 0) for i in bits(v & ~u)}
-    for r_part in submasks(a):
-        if not is_model(r_part | u, first):
-            continue
-        pin = {Rule(1 << i, 0, 0) for i in bits(r_part)}
-        pin |= {Rule(0, 1 << i, 0) for i in bits(a & ~r_part)}
-        theory = Program(second.rules | pin | kill_v, first.universe)
-        if horn_least_model(theory) is None:
-            return False
-    return True
+    return all(horn_satisfiable(second, r_part, (a & ~r_part) | (v & ~u))
+               for r_part in submasks(a) if is_model(r_part | u, first))
 
 
 def brute_force_oracle(p: Program, q: Program, a: int, mode: str) -> Verdict:
@@ -384,7 +354,7 @@ def brute_force_oracle(p: Program, q: Program, a: int, mode: str) -> Verdict:
     if mode == "uniform":
         if a.bit_count() > 12:
             raise ValueError("alphabet too large for the uniform oracle")
-        w = _first_witness(p, q, _fact_contexts(a, p.universe))
+        w = _first_witness(p, q, (facts_program(f, p.universe) for f in _fact_contexts(a)))
         return Verdict(w is None, "rel-uniform", a, w)
     if mode == "strong":
         if a.bit_count() > 3:

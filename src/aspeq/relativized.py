@@ -17,8 +17,8 @@ from .semantics import (
     _ase_pairs,
     _maximal_pairs,
     _y_is_a_minimal_for_reduct,
-    bound_sets,
     classical_models,
+    horn_least_model,
     horn_satisfiable,
     is_model,
     reduct,
@@ -91,9 +91,11 @@ def a_minimal_models(p: Program, a: int, over: Optional[int] = None) -> list[int
 def ase_check_normal(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool:
     """Polynomial A-SE membership test for normal programs.
 
-    Three Horn satisfiability steps: y models the reduct; no smaller model
-    agreeing on the alphabet survives; and (for non-total pairs) the x-part
-    extends to a model of the reduct inside y.
+    Three steps on the Horn reduct, with atoms pinned in its least-model
+    closure: y models the reduct; the least model above y ∩ a that stays
+    inside y is y itself (no smaller model agrees with y on the alphabet);
+    and, for non-total pairs, x extends to a model of the reduct inside y
+    that misses the alphabet atoms beyond x.
     """
     if any(r.head.bit_count() > 1 for r in p.rules):
         raise ValueError("program is not normal")
@@ -101,19 +103,9 @@ def ase_check_normal(p: Program, pair: ASEPair, over: Optional[int] = None) -> b
     if over is None:
         over = p.var | a | y
     red = reduct(p, y)
-    if not is_model(y, red):
+    if not is_model(y, red) or horn_least_model(red, y & a, over & ~y) not in (None, y):
         return False
-    subset, strict, _ = bound_sets(y, over, p.universe)
-    fact_ya = {Rule(1 << i, 0, 0) for i in bits(y & a)}
-    p_y = Program(red.rules | strict.rules | fact_ya, p.universe)
-    if horn_satisfiable(p_y):
-        return False
-    if x == y:
-        return True
-    fact_x = {Rule(1 << i, 0, 0) for i in bits(x)}
-    kill_a = {Rule(0, 1 << i, 0) for i in bits(a & ~x)}
-    p_x = Program(red.rules | subset.rules | fact_x | kill_a, p.universe)
-    return horn_satisfiable(p_x)
+    return x == y or horn_satisfiable(red, x, (over & ~y) | (a & ~x))
 
 
 def aue_check_hcf(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool:
@@ -121,8 +113,8 @@ def aue_check_hcf(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool
 
     The program is shifted to a normal one (which preserves relativized
     uniform equivalence), then checked with the normal-program procedure;
-    for non-total pairs the middle step becomes a Horn entailment of the
-    x-part pinned to the alphabet.
+    for non-total pairs the middle step becomes a Horn entailment: the
+    least model inside y above x and any one alphabet atom beyond x is y.
     """
     if not is_hcf(p):
         raise ValueError("program is not head-cycle free")
@@ -135,17 +127,9 @@ def aue_check_hcf(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool
     red = reduct(ps, y)
     if not is_model(y, red):
         return False
-    subset, strict, _ = bound_sets(y, over, p.universe)
-    fact_x = {Rule(1 << i, 0, 0) for i in bits(x)}
-    base = Program(red.rules | strict.rules | fact_x, p.universe)
-    # entailment of "no alphabet atom beyond x": adding any such atom as a
-    # fact must make the theory unsatisfiable
-    for i in bits(a & ~x):
-        if horn_satisfiable(Program(base.rules | {Rule(1 << i, 0, 0)}, p.universe)):
-            return False
-    kill_a = {Rule(0, 1 << i, 0) for i in bits(a & ~x)}
-    p_x = Program(red.rules | subset.rules | fact_x | kill_a, p.universe)
-    return horn_satisfiable(p_x)
+    if any(horn_least_model(red, x | 1 << i, over & ~y) not in (None, y) for i in bits(a & ~x)):
+        return False
+    return horn_satisfiable(red, x, (over & ~y) | (a & ~x))
 
 
 def ase_consequence(p: Program, r: Rule, a: int) -> bool:

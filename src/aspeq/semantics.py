@@ -95,10 +95,11 @@ def answer_sets(p: Program) -> list[int]:
     check_capacity(var)
     out = []
     for y in submasks(var):
+        # every x ⊆ y misses these rules' negative bodies: `satisfies` reads the reduct
         red = [r for r in p.rules if not (r.neg & y)]
-        if not all(_sat_pos(y, r) for r in red):
+        if not all(satisfies(y, r) for r in red):
             continue
-        if any(all(_sat_pos(x, r) for r in red) for x in proper_submasks(y)):
+        if any(all(satisfies(x, r) for r in red) for x in proper_submasks(y)):
             continue
         out.append(y)
     return out
@@ -156,21 +157,19 @@ def _maximal_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]
                     if x == y or not any(x2 != y and not x & ~x2 for x2 in xs[i + 1:]))
 
 
-def _sat_pos(i: int, r: Rule) -> bool:
-    # satisfaction of a rule with the negative body ignored (reduct member)
-    return (r.pos & ~i) != 0 or (r.head & i) != 0
-
-
 def is_horn(p: Program) -> bool:
     return all(r.head.bit_count() <= 1 and r.neg == 0 for r in p.rules)
 
 
-def horn_least_model(p: Program) -> Optional[int]:
-    """Least model of a Horn program, or None if a constraint rejects it."""
+def horn_least_model(p: Program, facts: int = 0, false: int = 0) -> Optional[int]:
+    """Least model of Horn ``p`` containing the atoms ``facts``, or None
+    when a constraint rejects it or it meets the atoms ``false``: forward
+    chaining from ``facts`` (Dowling & Gallier 1984), as if each pinned atom
+    were a fact or a constraint ``:- i.`` of ``p``."""
     if not is_horn(p):
         raise ValueError("program is not Horn")
     definite = [r for r in p.rules if r.head]
-    i = 0
+    i = facts
     changed = True
     while changed:
         changed = False
@@ -178,27 +177,28 @@ def horn_least_model(p: Program) -> Optional[int]:
             if (r.pos & ~i) == 0 and (r.head & i) == 0:
                 i |= r.head
                 changed = True
+    if i & false:
+        return None
     for r in p.rules:
         if r.head == 0 and (r.pos & ~i) == 0:
             return None
     return i
 
 
-def horn_satisfiable(p: Program) -> bool:
-    return horn_least_model(p) is not None
+def horn_satisfiable(p: Program, facts: int = 0, false: int = 0) -> bool:
+    """Has Horn ``p`` a model containing ``facts`` and missing ``false``?"""
+    return horn_least_model(p, facts, false) is not None
 
 
 def horn_entails(p: Program, r: Rule) -> bool:
     """Does Horn ``p`` classically entail the positive rule ``r``?
 
-    Checked by refutation: p + B+(r) as facts + one constraint per head
-    atom must be unsatisfiable (for a constraint: its body contradicts p).
+    Checked by refutation: no model of p contains B+(r) and misses H(r)
+    (for a constraint: its body contradicts p).
     """
     if r.neg:
         raise ValueError("entailment check only supports positive rules")
-    extra = {Rule(1 << i, 0, 0) for i in bits(r.pos)}
-    extra |= {Rule(0, 1 << i, 0) for i in bits(r.head)}
-    return not horn_satisfiable(Program(p.rules | extra, p.universe))
+    return not horn_satisfiable(p, r.pos, r.head)
 
 
 def bound_sets(y: int, u: int, universe: Universe) -> tuple[Program, Program, Program]:

@@ -255,7 +255,11 @@ def rule_to_str(r: Rule, universe: Universe) -> str:
     return f"{head}." if head else "."
 
 
+def canonical_rules(p: Program) -> list[Rule]:
+    """The rules of ``p`` in canonical order: sorted by (head, pos, neg) masks."""
+    return sorted(p.rules, key=lambda r: (r.head, r.pos, r.neg))
+
+
 def render(p: Program) -> str:
-    """Canonical text form: rules sorted by (head, pos, neg) masks."""
-    ordered = sorted(p.rules, key=lambda r: (r.head, r.pos, r.neg))
-    return "\n".join(rule_to_str(r, p.universe) for r in ordered)
+    """Canonical text form: one line per rule, in ``canonical_rules`` order."""
+    return "\n".join(rule_to_str(r, p.universe) for r in canonical_rules(p))

@@ -110,27 +110,12 @@ def check_shift_safe(p: Program, r: Rule, a: int) -> bool:
     if r not in p.rules:
         raise ValueError("rule is not part of the program")
     over = p.var | a
-    shifted = shift_one(p, r)
     gained = set(s_r(r, over))
-    se_p = set(_ase_pairs(p, over, over))
-    for x, y in _ase_pairs(shifted, over, over):
-        if (x, y) not in gained:
-            continue
-        if any(
-            x2 != y and (x2 & a) == (y & a) and (x2, y) in se_p
-            for x2 in submasks(y)
-        ):
-            continue
-        ok = False
-        for x2 in submasks(y):
-            if x2 == y or x2 == x or (x2 & a) != (x & a):
-                continue
-            if (x2, y) in se_p:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    # no gained pair is an SE-model of p (its x violates r's reduct), so an
+    # alternative is any non-total SE-model of p at the same y and alphabet part
+    parts = {(y, x & a) for x, y in _ase_pairs(p, over, over) if x != y}
+    return all((y, y & a) in parts or (y, x & a) in parts
+               for x, y in _ase_pairs(shift_one(p, r), over, over) if (x, y) in gained)
 
 
 def _fresh_atom(p: Program, w: Optional[str]) -> str:

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from aspeq.cli import main
+from aspeq.syntax import Universe, parse_program, render
+from aspeq.transforms import shift_one
 
 
 @pytest.fixture
@@ -126,17 +128,25 @@ def test_shift_whole_program(lp, capsys):
 
 
 def test_shift_single_rule_and_range(lp, capsys):
-    p = lp("p.lp", "a | b. c :- a.")
-    assert main(["shift", p, "--rule", "3"]) == 2
+    text = "c | d :- a. a | b. d :- e. b | e :- not c. :- a, e."
+    path = lp("p.lp", text)
+    assert main(["shift", path, "--rule", "6"]) == 2
     assert "out of range" in capsys.readouterr().err
-    # rule 1 in canonical order is the disjunctive fact; rule 2 is normal
-    # and shifting it leaves the program unchanged
-    assert main(["shift", p, "--rule", "1", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc["program"]) == {"c :- a.", "a :- not b.", "b :- not a."}
-    assert main(["shift", p, "--rule", "2", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc["program"]) == {"a | b.", "c :- a."}
+    # --rule N shifts the rule printed on line N of the rendered program
+    uni = Universe()
+    p = parse_program(text, uni)
+    lines = render(p).splitlines()
+    assert len(lines) == 5
+    outputs = set()
+    for n, line in enumerate(lines, start=1):
+        (target,) = parse_program(line, uni).rules
+        assert main(["shift", path, "--rule", str(n), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["program"] == render(shift_one(p, target)).splitlines()
+        outputs.add(tuple(doc["program"]))
+    # the three disjunctive rules shift to three different programs, the
+    # two others leave the program as it is
+    assert len(outputs) == 4
 
 
 def test_shift_check_alphabet(lp, capsys):

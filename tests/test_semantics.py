@@ -16,7 +16,8 @@ from aspeq.semantics import (
     satisfies,
     submasks,
 )
-from aspeq.syntax import Program, Rule, Universe, parse_program
+from aspeq.harness import GeneratorConfig, random_program
+from aspeq.syntax import Program, Rule, Universe, bits, parse_program
 
 from conftest import pair, prog
 
@@ -130,6 +131,22 @@ def test_horn_least_model():
     with pytest.raises(ValueError):
         horn_least_model(prog("a | b.", uni))
     assert horn_satisfiable(prog("b :- a.", uni))
+
+
+def test_horn_least_model_pins_read_as_added_rules():
+    # atoms pinned true act as facts, atoms pinned false as one `:- i.` each
+    uni = Universe("abcd")
+    constraints = 0
+    for seed in range(100):
+        p = random_program(GeneratorConfig(4, 1 + seed % 6, seed, frozenset(["horn"])), uni)
+        constraints += any(r.head == 0 for r in p.rules)
+        for f in submasks(uni.full_mask):
+            for z in submasks(uni.full_mask):
+                added = {Rule(1 << i, 0, 0) for i in bits(f)} | {Rule(0, 1 << i, 0) for i in bits(z)}
+                want = horn_least_model(Program(p.rules | added, uni))
+                assert horn_least_model(p, f, z) == want
+                assert horn_satisfiable(p, f, z) == (want is not None)
+    assert constraints > 20
 
 
 def test_horn_entails():
