@@ -113,8 +113,9 @@ def aue_check_hcf(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool
 
     The program is shifted to a normal one (which preserves relativized
     uniform equivalence), then checked with the normal-program procedure;
-    for non-total pairs the middle step becomes a Horn entailment: the
-    least model inside y above x and any one alphabet atom beyond x is y.
+    for non-total pairs the middle step becomes a Horn entailment: for each
+    alphabet atom beyond x, the least model above x and that atom leaves y
+    or is y itself.
     """
     if not is_hcf(p):
         raise ValueError("program is not head-cycle free")
