@@ -5,7 +5,7 @@ Subcommands::
     aspeq check P.lp Q.lp --mode MODE [--alphabet a,b | --alphabet-all-but w]
     aspeq models P.lp --kind KIND [--alphabet ...]
     aspeq shift P.lp [--rule N] [--check-alphabet ...]
-    aspeq sweep --property NAME [--atoms N] [--max-rules K]
+    aspeq sweep [--property NAME] [--atoms N] [--max-rules K]
 
 Exit codes: 0 equivalent / all models listed / property holds, 1 not
 equivalent or property violated, 2 usage or parse error, 3 capacity
@@ -81,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shift.set_defaults(func=cmd_shift)
 
     sweep = sub.add_parser("sweep", help="exhaustive property sweep")
-    sweep.add_argument("--property", required=True, choices=sorted(PROPERTIES))
+    sweep.add_argument("--property", default=None, choices=sorted(PROPERTIES),
+                       help="the property to check (default: every property, in order)")
     sweep.add_argument("--atoms", type=int, default=2, choices=(1, 2, 3))
     sweep.add_argument("--max-rules", type=int, default=None)
     _add_format_arg(sweep)
@@ -231,20 +232,23 @@ def cmd_shift(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    report = exhaustive_sweep(args.atoms, args.property, args.max_rules)
-    if args.format == "json":
-        print(json.dumps({
-            "schema": 1,
-            "property": report.prop,
-            "checked": report.checked,
-            "counterexamples": sorted(report.counterexamples),
-        }))
-    else:
-        print(f"{report.prop}: checked {report.checked}, "
-              f"{len(report.counterexamples)} counterexamples")
-        for c in sorted(report.counterexamples):
-            print(f"  {c}")
-    return 0 if report.ok else 1
+    failed = False
+    for prop in [args.property] if args.property else sorted(PROPERTIES):
+        report = exhaustive_sweep(args.atoms, prop, args.max_rules)
+        if args.format == "json":
+            print(json.dumps({
+                "schema": 1,
+                "property": report.prop,
+                "checked": report.checked,
+                "counterexamples": sorted(report.counterexamples),
+            }))
+        else:
+            print(f"{report.prop}: checked {report.checked}, "
+                  f"{len(report.counterexamples)} counterexamples")
+            for c in sorted(report.counterexamples):
+                print(f"  {c}")
+        failed |= not report.ok
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -14,13 +14,11 @@ by direct answer-set computation before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .semantics import (
-    _ase_pairs,
-    _maximal_pairs,
-    _y_is_a_minimal_for_reduct,
+    _maximal_row,
+    _row,
     answer_sets,
     check_capacity,
     horn_least_model,
@@ -89,8 +87,9 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     "rel-strong" and "rel-uniform" rows at A = var(p ∪ q), always
     enumerated; ``a`` is ignored for these three.  The relativized rows
     use ``a & var(p ∪ q)`` (default: every atom) and ``method``: "generic"
-    streams the A-SE-models (A-UE-models for rel-uniform) and stops at the
-    first Y where they differ, where the strong kinds' witness is built;
+    compares the two programs' A-SE-models (A-UE-models for rel-uniform)
+    one Y at a time and stops at the first Y where they differ, where the
+    strong kinds' witness is built;
     "horn" runs the fact-extension decision for Horn programs, and
     "auto" takes "horn" when both programs are Horn and "generic" otherwise.
     ``method`` is validated in every mode.
@@ -113,23 +112,19 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     else:
         a = over
     strong = mode.endswith("strong")
-    left, right = _ase_pairs(p, a, over), _ase_pairs(q, a, over)
-    if not strong:
-        left, right = _maximal_pairs(left), _maximal_pairs(right)
-    y = _first_difference(left, right)
+    y = _first_difference(p, q, a, over, _row if strong else _maximal_row)
     if y is None:
         return Verdict(True, mode, a, None, route)
     w = _strong_witness(p, q, a, y) if strong else build_uniform_witness(p, q, a)
     return Verdict(False, mode, a, w, route)
 
 
-def _first_difference(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]) -> Optional[int]:
-    """The least Y in the symmetric difference of two ``(y, x)``-ordered pair
-    streams, read up to their first differing position, or None if equal."""
-    for lp, rp in zip_longest(left, right):
-        if lp != rp:
-            return min(pr[1] for pr in (lp, rp) if pr is not None)
-    return None
+def _first_difference(p: Program, q: Program, a: int, over: int, row) -> Optional[int]:
+    """The least Y over ``over`` at which ``row`` (``_row`` for the
+    A-SE-models, ``_maximal_row`` for the A-UE-models) differs between
+    ``p`` and ``q``, or None when every row agrees."""
+    check_capacity(over)
+    return next((y for y in submasks(over) if row(p, a, y) != row(q, a, y)), None)
 
 
 def decide_ordinary(p: Program, q: Program) -> Verdict:
@@ -201,19 +196,19 @@ def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
 
     Built at the least interpretation Y where the A-SE-models of the two
     programs over var(p ∪ q) ∪ a differ, the same search ``decide`` runs.
-    In either argument order, Y models the first program with no smaller
-    model agreeing on the alphabet, and either fails the second program
-    (context = facts of Y ∩ a) or admits an X below Y modelling the second
-    program's reduct that no alphabet-equal X' = (X ∩ a) ∪ T, T ⊆ Y \\ a,
-    X' ≠ Y, can match on the first (context = facts of X ∩ a plus all
+    In either argument order, the first program's row at Y is not empty
+    (Y models it with no smaller model agreeing on the alphabet), and Y
+    either fails the second program (context = facts of Y ∩ a) or admits
+    an X ≠ Y below Y modelling the second program's reduct whose part
+    X ∩ a is not in that row, so no X' = (X ∩ a) ∪ T, T ⊆ Y \\ a, X' ≠ Y,
+    models the first program's reduct (context = facts of X ∩ a plus all
     unary rules between distinct atoms of (Y \\ X) ∩ a).  The A-minimality
     of Y and the condition on X make Y an answer set of the first program
     plus the context and not of the second, which ``_check_witness``
     re-verifies.  Raises ``AssertionError`` when the listings agree.
     """
     _shared(p, q)
-    over = p.var | q.var | a
-    y = _first_difference(_ase_pairs(p, a, over), _ase_pairs(q, a, over))
+    y = _first_difference(p, q, a, p.var | q.var | a, _row)
     if y is None:
         raise AssertionError("no witness found; programs appear strongly equivalent")
     return _strong_witness(p, q, a, y)
@@ -222,32 +217,23 @@ def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
 def _strong_witness(p: Program, q: Program, a: int, y: int) -> Witness:
     # the context of `build_strong_witness` at `y`, the least Y where the A-SE-models differ
     for first, second, side in ((p, q, "left"), (q, p, "right")):
-        if not is_model(y, first):
+        row = set(_row(first, a, y))
+        if not row:
             continue
-        red_first = reduct(first, y)
-        if not _y_is_a_minimal_for_reduct(red_first, y, a):
-            continue
-        ctx = None
         if not is_model(y, second):
             ctx = facts_program(y & a, p.universe)
         else:
             red_second = reduct(second, y)
-            free = list(submasks(y & ~a))
-            for x in submasks(y):
-                if x == y or not is_model(x, red_second):
-                    continue
-                xa = x & a
-                if any(xa | t != y and is_model(xa | t, red_first) for t in free):
-                    continue
-                grow = (y & ~x) & a
-                rules = {Rule(1 << i, 0, 0) for i in bits(xa)}
-                rules |= {Rule(1 << i, 1 << j, 0) for i in bits(grow) for j in bits(grow) if i != j}
-                ctx = Program(frozenset(rules), p.universe)
-                break
-        if ctx is not None:
-            w = Witness(ctx, y, side)
-            _check_witness(p, q, w)
-            return w
+            x = next((x for x in submasks(y) if x != y and (x & a) not in row and is_model(x, red_second)), None)
+            if x is None:
+                continue
+            grow = (y & ~x) & a
+            rules = {Rule(1 << i, 0, 0) for i in bits(x & a)}
+            rules |= {Rule(1 << i, 1 << j, 0) for i in bits(grow) for j in bits(grow) if i != j}
+            ctx = Program(frozenset(rules), p.universe)
+        w = Witness(ctx, y, side)
+        _check_witness(p, q, w)
+        return w
     raise AssertionError(f"no witness at the first differing Y {y}")
 
 
@@ -359,14 +345,14 @@ def brute_force_oracle(p: Program, q: Program, a: int, mode: str) -> Verdict:
     if mode == "strong":
         if a.bit_count() > 3:
             raise ValueError("alphabet too large for the unary-context oracle")
-        rules = unary_rules(p.universe, a)
+        rules = unary_rules(a)
         picks = range(1 << len(rules))
         w = _first_witness(p, q, (Program(frozenset(rules[i] for i in bits(k)), p.universe) for k in picks))
         return Verdict(w is None, "rel-strong", a, w)
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 
-def unary_rules(universe, a: int) -> list[Rule]:
+def unary_rules(a: int) -> list[Rule]:
     """All unary rules over the alphabet: facts and single-body rules."""
     out = [Rule(1 << i, 0, 0) for i in bits(a)]
     out += [Rule(1 << i, 1 << j, 0) for i in bits(a) for j in bits(a)]

@@ -80,17 +80,17 @@ def _random_rule(rng, atoms, min_head, max_head, max_pos, allow_neg, force_disj)
 # exhaustive program family
 
 
-def family_rules(universe: Universe, over: int, max_head: int = 2, max_pos: int = 1, max_neg: int = 1) -> list[Rule]:
-    """All rules over ``over`` with bounded head/body sizes."""
-    heads = [m for m in submasks(over) if m.bit_count() <= max_head]
-    bodies = [m for m in submasks(over) if m.bit_count() <= max_pos]
-    negs = [m for m in submasks(over) if m.bit_count() <= max_neg]
-    return [Rule(h, p, n) for h in heads for p in bodies for n in negs]
+def family_rules(over: int) -> list[Rule]:
+    """All rules over ``over`` with heads of up to two atoms and at most one
+    positive and one negative body atom."""
+    heads = [m for m in submasks(over) if m.bit_count() <= 2]
+    bodies = [m for m in submasks(over) if m.bit_count() <= 1]
+    return [Rule(h, p, n) for h in heads for p in bodies for n in bodies]
 
 
 def family_programs(universe: Universe, over: int, max_rules: int = 2) -> list[Program]:
     """All programs assembled from at most ``max_rules`` family rules."""
-    rules = family_rules(universe, over)
+    rules = family_rules(over)
     return [Program(frozenset(c), universe) for k in range(max_rules + 1) for c in itertools.combinations(rules, k)]
 
 
@@ -107,9 +107,9 @@ def project(mask: int, positions: list[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def context_se_classes(alpha_size: int, max_rules: int = 3) -> tuple[frozenset, ...]:
-    """Distinct SE-model sets realized by programs of at most ``max_rules``
-    rules over an ``alpha_size``-atom alphabet (abstract bit positions)."""
+def context_se_classes(alpha_size: int) -> tuple[frozenset, ...]:
+    """Distinct SE-model sets realized by programs of at most three rules
+    over an ``alpha_size``-atom alphabet (abstract bit positions)."""
     if alpha_size > 2:
         raise ValueError("context-class enumeration supports at most 2 alphabet atoms")
     over = (1 << alpha_size) - 1
@@ -120,7 +120,7 @@ def context_se_classes(alpha_size: int, max_rules: int = 3) -> tuple[frozenset, 
         for n in submasks(over)
     ]
     seen = set()
-    for k in range(max_rules + 1):
+    for k in range(4):
         for combo in itertools.combinations(rules, k):
             prog = frozenset(combo)
             pairs = []
@@ -169,17 +169,17 @@ def uniform_signature(p: Program, a: int, over: int) -> tuple:
     return tuple(sm_with_facts(pairs, f) for f in submasks(a))
 
 
-def strong_signature(p: Program, a: int, over: int, max_rules: int = 3) -> tuple:
+def strong_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus R) for one representative R of every context class."""
     positions = list(bits(a))
-    classes = context_se_classes(len(positions), max_rules)
+    classes = context_se_classes(len(positions))
     pairs = se_models(p, over)
     return tuple(sm_under_class(pairs, positions, cls) for cls in classes)
 
 
 def unary_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus U) for every unary program U over the alphabet."""
-    rules = unary_rules(p.universe, a)
+    rules = unary_rules(a)
     pairs = se_models(p, over)
     positions = list(bits(a))
     out = []
@@ -382,7 +382,7 @@ def _shift_cases(atom_count: int):
     # per family rule r: r, the SE-models of {r} and of its shift, the atoms
     uni = Universe(ATOM_NAMES[:atom_count])
     over = uni.full_mask
-    for r in family_rules(uni, over):
+    for r in family_rules(over):
         se = set(se_models(Program(frozenset([r]), uni), over))
         yield r, se, set(se_models(Program(shift_rule(r), uni), over)), over
 

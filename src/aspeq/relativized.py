@@ -1,8 +1,8 @@
 """Relativized SE/UE-models over an alphabet A, and A-minimal models.
 
 An A-SE-interpretation is a pair (X, Y) with X = Y or X a strict subset of
-Y ∩ A.  ``ase_models`` and ``aue_models`` wrap the pair kernel's listing
-(``semantics._ase_pairs``, and its maximal pairs for A-UE) in ``ASEPair``.
+Y ∩ A.  ``ase_models`` and ``aue_models`` list the per-Y rows
+(``semantics._row``, and ``_maximal_row`` for A-UE) as ``ASEPair``.
 Membership tests come in a generic form and, for normal and
 head-cycle-free programs, in polynomial Horn-based forms that decide a
 single pair.
@@ -15,7 +15,7 @@ from typing import Optional
 
 from .semantics import (
     _ase_pairs,
-    _maximal_pairs,
+    _maximal_row,
     _y_is_a_minimal_for_reduct,
     classical_models,
     horn_least_model,
@@ -79,7 +79,7 @@ def aue_models(p: Program, a: int, over: Optional[int] = None) -> list[ASEPair]:
     non-total ones with the same y."""
     if over is None:
         over = p.var | a
-    return [ASEPair(x, y, a) for x, y in _maximal_pairs(_ase_pairs(p, a, over))]
+    return [ASEPair(x, y, a) for x, y in _ase_pairs(p, a, over, _maximal_row)]
 
 
 def a_minimal_models(p: Program, a: int, over: Optional[int] = None) -> list[int]:

@@ -1,10 +1,11 @@
 """SE-models, UE-models, SE/UE-consequence, strong and uniform equivalence.
 
 An SE-pair is an ordered pair of interpretation masks ``(x, y)`` with
-``x`` a subset of ``y``.  SE-models are the pair kernel's A-SE-models with
-``a = over`` (``semantics._ase_pairs``) and UE-models its maximal pairs;
-the listings are lists sorted by ``(y, x)`` (``decide`` reads the kernel's
-stream and stops at the first differing Y), and ``over`` must cover var(p).
+``x`` a subset of ``y``.  SE-models are the A-SE-models with ``a = over``,
+listed row by row (``semantics._row``), and UE-models the maximal rows
+(``semantics._maximal_row``); the listings are sorted by ``(y, x)``, and
+``over`` must cover var(p).  ``decide`` compares the rows of two programs
+and stops at the first differing Y.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .equivalence import Verdict, decide
-from .semantics import _ase_pairs, _maximal_pairs, is_model, reduct
+from .semantics import _ase_pairs, _maximal_row, is_model, reduct
 from .syntax import Program, Rule
 
 SEPair = tuple[int, int]
@@ -29,12 +30,14 @@ def se_models(p: Program, over: Optional[int] = None) -> list[SEPair]:
     """All SE-models of ``p`` over the atoms in ``over`` (default var(p))."""
     if over is None:
         over = p.var
-    return list(_ase_pairs(p, over, over))
+    return _ase_pairs(p, over, over)
 
 
 def ue_models(p: Program, over: Optional[int] = None) -> list[SEPair]:
     """SE-models that are total or maximal among the non-total ones per y."""
-    return list(_maximal_pairs(se_models(p, over)))
+    if over is None:
+        over = p.var
+    return _ase_pairs(p, over, over, _maximal_row)
 
 
 def se_consequence(p: Program, r: Rule) -> bool:

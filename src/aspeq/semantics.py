@@ -1,17 +1,17 @@
 """Classical satisfaction, reducts, answer sets, Horn least models, and
-the pair kernel under the SE-, UE-, A-SE- and A-UE-model listings.
+the per-Y rows under the SE-, UE-, A-SE- and A-UE-model listings.
 
 All enumeration is exhaustive over bit masks and guarded by a capacity cap
-(24 atoms by default); every function here is pure.  The pair kernel
-streams its pairs in ``(y, x)`` order: the deciders stop at the first Y
-where two programs differ, and the public listings are sorted lists of it.
+of 24 atoms; every function here is pure.  A row lists the X of the
+A-SE-models (X, Y) of a program at one Y, as the models are defined: Y is
+an A-minimal model of the reduct and the X are alphabet parts below it.
+The listings join the rows of every Y in ascending order, and the
+deciders compare two programs row by row up to the first Y that differs.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .syntax import Program, Rule, Universe, bits
 
@@ -22,10 +22,10 @@ class CapacityError(RuntimeError):
     """Raised when an enumeration would exceed the atom cap."""
 
 
-def check_capacity(mask: int, cap: int = CAPACITY) -> None:
+def check_capacity(mask: int) -> None:
     n = mask.bit_count()
-    if n > cap:
-        raise CapacityError(f"{n} atoms exceeds the enumeration cap of {cap}")
+    if n > CAPACITY:
+        raise CapacityError(f"{n} atoms exceeds the enumeration cap of {CAPACITY}")
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -111,50 +111,50 @@ def _y_is_a_minimal_for_reduct(red: Program, y: int, a: int) -> bool:
     return not any(is_model(fixed | t, red) for t in proper_submasks(y & ~a))
 
 
-def _ase_pairs(p: Program, a: int, over: int) -> Iterator[tuple[int, int]]:
-    """The A-SE-models ``(x, y)`` of ``p`` over ``over``, streamed in
-    ``(y, x)`` order; with ``a = over`` these are the SE-models.  ``over``
-    must cover var(p); it and the capacity are checked at the call.
+def _row(p: Program, a: int, y: int) -> list[int]:
+    """The X of the A-SE-models ``(X, Y)`` of ``p`` at ``y``, ascending,
+    with ``y`` last; empty unless ``y`` models ``p`` with no ``y'`` below
+    it, agreeing on ``a``, modelling the reduct.  With ``a`` covering ``y``
+    these are the SE-models at ``y``.
 
-    ``y`` must model ``p`` with no ``y'`` below it, agreeing on ``a``,
-    modelling the reduct; then ``(y, y)`` is a pair, and so is each ``x``
-    strictly inside ``y ∩ a`` that some extension off ``a`` within ``y``
-    makes a model of the reduct.
+    A non-total X lies strictly inside ``y ∩ a`` and some extension of it
+    off ``a`` within ``y`` models the reduct.
     """
+    if not is_model(y, p):
+        return []
+    red = reduct(p, y)
+    if not _y_is_a_minimal_for_reduct(red, y, a):
+        return []
+    ya = y & a
+    ext = list(submasks(y & ~a))
+    row = []
+    for x in submasks(ya):
+        if x == ya:  # the last submask; y closes the row below
+            break
+        for t in ext:
+            if is_model(x | t, red):
+                row.append(x)
+                break
+    row.append(y)
+    return row
+
+
+def _maximal_row(p: Program, a: int, y: int) -> list[int]:
+    """The X of the A-UE-models at ``y``: ``y`` itself and the non-total X
+    of ``_row`` with no strict superset among the non-total ones."""
+    row = _row(p, a, y)
+    # a strict superset of x sorts after it; the last entry is y
+    return [x for i, x in enumerate(row[:-1]) if not any(not x & ~x2 for x2 in row[i + 1:-1])] + row[-1:]
+
+
+def _ase_pairs(p: Program, a: int, over: int, row=_row) -> list[tuple[int, int]]:
+    """The pairs ``(x, y)`` of the rows of ``p`` over ``over`` in ``(y, x)``
+    order: the A-SE-models, or with ``row=_maximal_row`` the A-UE-models.
+    ``over`` must cover var(p); it and the capacity are checked here."""
     if p.var & ~over:
         raise ValueError("`over` must cover var(p)")
     check_capacity(over)
-    return _ase_stream(p, a, over)
-
-
-def _ase_stream(p: Program, a: int, over: int) -> Iterator[tuple[int, int]]:
-    for y in submasks(over):
-        if not is_model(y, p):
-            continue
-        red = reduct(p, y)
-        if not _y_is_a_minimal_for_reduct(red, y, a):
-            continue
-        ya = y & a
-        ext = list(submasks(y & ~a))
-        for x in submasks(ya):
-            if x == ya:  # the last submask; (y, y) is yielded below
-                break
-            for t in ext:
-                if is_model(x | t, red):
-                    yield x, y
-                    break
-        yield y, y
-
-
-def _maximal_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """The total pairs of a ``(y, x)``-sorted stream, and the non-total
-    pairs with no strict superset among the non-total pairs of their ``y``,
-    streamed one ``y`` at a time in the same order."""
-    for y, run in groupby(pairs, key=itemgetter(1)):
-        xs = [x for x, _ in run]
-        # a strict superset of x sorts after it within the run
-        yield from ((x, y) for i, x in enumerate(xs)
-                    if x == y or not any(x2 != y and not x & ~x2 for x2 in xs[i + 1:]))
+    return [(x, y) for y in submasks(over) for x in row(p, a, y)]
 
 
 def is_horn(p: Program) -> bool:
@@ -165,10 +165,13 @@ def horn_least_model(p: Program, facts: int = 0, false: int = 0) -> Optional[int
     """Least model of Horn ``p`` containing the atoms ``facts``, or None
     when a constraint rejects it or it meets the atoms ``false``: forward
     chaining from ``facts`` (Dowling & Gallier 1984), as if each pinned atom
-    were a fact or a constraint ``:- i.`` of ``p``."""
-    if not is_horn(p):
-        raise ValueError("program is not Horn")
-    definite = [r for r in p.rules if r.head]
+    were a fact or a constraint ``:- i.`` of ``p``.  Raises ``ValueError``
+    when ``p`` is not Horn."""
+    definite, constraints = [], []
+    for r in p.rules:
+        if r.neg or r.head.bit_count() > 1:
+            raise ValueError("program is not Horn")
+        (definite if r.head else constraints).append(r)
     i = facts
     changed = True
     while changed:
@@ -177,11 +180,8 @@ def horn_least_model(p: Program, facts: int = 0, false: int = 0) -> Optional[int
             if (r.pos & ~i) == 0 and (r.head & i) == 0:
                 i |= r.head
                 changed = True
-    if i & false:
+    if i & false or any((r.pos & ~i) == 0 for r in constraints):
         return None
-    for r in p.rules:
-        if r.head == 0 and (r.pos & ~i) == 0:
-            return None
     return i
 
 

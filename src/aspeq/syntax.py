@@ -138,9 +138,6 @@ class Program:
             raise ValueError("programs must share one universe")
         return Program(self.rules | other.rules, self.universe)
 
-    def with_rules(self, rules: Iterable[Rule]) -> "Program":
-        return Program(frozenset(rules), self.universe)
-
     def __or__(self, other: "Program") -> "Program":
         return self.union(other)
 

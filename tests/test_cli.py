@@ -3,6 +3,7 @@ import json
 import pytest
 
 from aspeq.cli import main
+from aspeq.harness import PROPERTIES
 from aspeq.syntax import Universe, parse_program, render
 from aspeq.transforms import shift_one
 
@@ -165,6 +166,17 @@ def test_sweep_ok_and_json(capsys):
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["counterexamples"] == [] and doc["checked"] > 0
+
+
+def test_sweep_without_property_runs_every_property(capsys):
+    assert main(["sweep", "--atoms", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(PROPERTIES)
+    assert all(line.endswith(", 0 counterexamples") for line in lines)
+    assert main(["sweep", "--atoms", "1", "--format", "json"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [d["property"] for d in docs] == sorted(PROPERTIES)
+    assert all(d["schema"] == 1 and d["checked"] > 0 and d["counterexamples"] == [] for d in docs)
 
 
 @pytest.mark.parametrize("argv", [["check", "{bad}", "{ok}"], ["check", "{ok}", "{bad}"],

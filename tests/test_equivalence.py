@@ -193,6 +193,17 @@ def test_strong_witness_matches_the_reference_search():
                     assert build_strong_witness(p, q, v.alphabet) == v.witness, (p.rules, q.rules, a)
 
 
+def test_strong_witness_falls_through_to_the_second_argument_order():
+    # at Y = {a} the row of P has the X {} that Q lacks, but no X below Y
+    # models Q's reduct {a.}: the witness comes from Q first
+    p, q, uni = pair(":- not a.", "a.")
+    a = uni.mask_of(["a"])
+    for v in (decide(p, q, "strong"), decide_rel_strong(p, q, a, method="generic")):
+        w = v.witness
+        assert (w.side, w.context.rules, w.distinguishing) == ("right", frozenset(), a)
+    assert build_strong_witness(p, q, a) == w
+
+
 def _chain(k: int, shifted: int = -1) -> str:
     # x_i | y_i.  x_{i+1} :- x_i, not y_{i+1}.  with the disjunction at
     # `shifted` replaced by its shift
@@ -275,7 +286,7 @@ def test_brute_force_oracle_modes():
 def test_unary_rules_count():
     uni = Universe(["a", "b", "c"])
     a = uni.full_mask
-    rules = unary_rules(uni, a)
+    rules = unary_rules(a)
     assert len(rules) == 3 + 9  # facts plus all single-body rules incl. p :- p
     assert len(set(rules)) == len(rules)
 

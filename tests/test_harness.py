@@ -61,7 +61,7 @@ def test_random_program_rejects_contradictory_flags():
 
 def test_family_sizes():
     uni = Universe(["a", "b"])
-    rules = family_rules(uni, uni.full_mask)
+    rules = family_rules(uni.full_mask)
     # heads: any subset of size <= 2 (4), pos/neg: size <= 1 (3 each)
     assert len(rules) == 4 * 3 * 3
     progs = family_programs(uni, uni.full_mask, max_rules=1)
@@ -104,8 +104,8 @@ def test_uniform_signature_equality_is_uniform_equivalence():
 def test_context_se_classes_bounds():
     with pytest.raises(ValueError):
         context_se_classes(3)
-    one = context_se_classes(1, max_rules=3)
-    two = context_se_classes(2, max_rules=3)
+    one = context_se_classes(1)
+    two = context_se_classes(2)
     assert len(one) < len(two)
     # the empty context class (all pairs) is always realized
     full = frozenset((x, y) for y in range(4) for x in submasks(y))

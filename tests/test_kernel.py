@@ -1,4 +1,4 @@
-"""The pair kernel under the SE-, UE-, A-SE- and A-UE-model listings,
+"""The per-Y rows under the SE-, UE-, A-SE- and A-UE-model listings,
 checked against the per-pair definitions on the exhaustive families."""
 
 from itertools import islice, product
@@ -9,7 +9,7 @@ from aspeq.equivalence import _first_difference
 from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.relativized import ASEPair, ase_models, aue_models, is_ase_model, valid_shape
 from aspeq.se import is_se_model, se_models, ue_models
-from aspeq.semantics import CapacityError, _ase_pairs, _maximal_pairs, submasks
+from aspeq.semantics import CapacityError, _ase_pairs, _maximal_row, _row, submasks
 from aspeq.syntax import Universe, facts_program
 
 from conftest import prog
@@ -75,21 +75,17 @@ def test_first_difference_is_the_least_differing_y(atoms, max_rules, stride):
     listings = {}
     for i, p in enumerate(progs):
         for a in alphabets:
-            full = list(_ase_pairs(p, a, over))
-            listings[i, a] = (full, list(_maximal_pairs(full)))
+            listings[i, a] = (ase_models(p, a, over), aue_models(p, a, over))
     for i, j in islice(product(range(len(progs)), repeat=2), 0, None, stride):
         for a in alphabets:
-            for kind, maximal in enumerate((False, True)):
-                left, right = _ase_pairs(progs[i], a, over), _ase_pairs(progs[j], a, over)
-                if maximal:
-                    left, right = _maximal_pairs(left), _maximal_pairs(right)
+            for kind, row in enumerate((_row, _maximal_row)):
                 diff = set(listings[i, a][kind]) ^ set(listings[j, a][kind])
-                expect = min((y for _, y in diff), default=None)
-                assert _first_difference(left, right) == expect, (progs[i].rules, progs[j].rules, a, maximal)
+                expect = min((pr.y for pr in diff), default=None)
+                got = _first_difference(progs[i], progs[j], a, over, row)
+                assert got == expect, (progs[i].rules, progs[j].rules, a, row.__name__)
 
 
 def test_pair_kernel_checks_its_arguments_at_the_call():
-    # no next(): the stream is never started
     uni = Universe(["a", "b"])
     p = prog("a :- not b. b :- not a.", uni)
     with pytest.raises(ValueError, match="cover var"):

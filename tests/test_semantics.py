@@ -193,3 +193,15 @@ def test_answer_sets_are_models_positive_are_minimal():
             assert is_model(y, p)
         pos, _, uni2, _ = random_pair(seed, atoms=4, max_rules=5, require=["positive"])
         assert sorted(answer_sets(pos)) == sorted(minimal_models(pos))
+
+
+def test_horn_least_model_rejects_non_horn_under_any_pins():
+    uni = Universe(["a", "b"])
+    for text in ("a | b.", "a :- not b.", ":- not a.", "a. b :- a. a | b :- b."):
+        p = prog(text, uni)
+        for f in submasks(uni.full_mask):
+            for z in submasks(uni.full_mask):
+                with pytest.raises(ValueError, match="not Horn"):
+                    horn_least_model(p, f, z)
+                with pytest.raises(ValueError, match="not Horn"):
+                    horn_satisfiable(p, f, z)
