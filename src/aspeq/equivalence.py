@@ -8,21 +8,21 @@ intersected with the atoms of the two programs), and — exactly when the
 programs are not equivalent — a ``Witness``: a context program over the
 alphabet together with an interpretation that is an answer set of one
 program plus the context but not of the other.  Witnesses are re-verified
-by direct answer-set computation before being returned.
+by the one-interpretation answer-set test on both sides before being
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .semantics import (
+    _horn_closure,
     _maximal_row,
     _row,
-    answer_sets,
     check_capacity,
-    horn_least_model,
-    horn_satisfiable,
+    is_answer_set,
     is_horn,
     is_model,
     reduct,
@@ -36,7 +36,8 @@ METHODS = ("auto", "generic", "horn")
 
 
 class VerificationError(Exception):
-    """A witness failed re-verification by direct answer-set computation."""
+    """A witness failed re-verification by the one-interpretation
+    answer-set test on both sides."""
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,10 @@ class Verdict:
 
 def _check_witness(p: Program, q: Program, w: Witness) -> None:
     keeper, loser = (p, q) if w.side == "left" else (q, p)
-    kept = w.distinguishing in answer_sets(keeper | w.context)
-    if not kept or w.distinguishing in answer_sets(loser | w.context):
-        raise VerificationError("witness failed re-verification")
+    for side, want in ((keeper | w.context, True), (loser | w.context, False)):
+        check_capacity(side.var)
+        if is_answer_set(w.distinguishing, side) != want:
+            raise VerificationError("witness failed re-verification")
 
 
 def _shared(p: Program, q: Program) -> None:
@@ -149,12 +151,17 @@ def _fact_contexts(a: int) -> list[int]:
 
 def _first_witness(p: Program, q: Program, contexts: Iterable[Program]) -> Optional[Witness]:
     """The witness at the first context on which the answer sets of ``p``
-    and ``q`` differ (its least differing answer set), or None."""
+    and ``q`` differ (its least differing answer set), or None.  Each
+    context scans the Ys over var(p ∪ q ∪ ctx) in ascending order up to the
+    first one that is an answer set on one side only."""
     for ctx in contexts:
-        sp, sq = set(answer_sets(p | ctx)), set(answer_sets(q | ctx))
-        if sp != sq:
-            d = min(sp ^ sq)
-            return Witness(ctx, d, "left" if d in sp else "right")
+        pc, qc = p | ctx, q | ctx
+        over = pc.var | qc.var
+        check_capacity(over)
+        for y in submasks(over):
+            left = is_answer_set(y, pc)
+            if left != is_answer_set(y, qc):
+                return Witness(ctx, y, "left" if left else "right")
     return None
 
 
@@ -261,9 +268,10 @@ def decide_horn_rel(p: Program, q: Program, a: int, mode: str = "rel-uniform") -
     a &= p.var | q.var
     if a.bit_count() > 20:
         raise ValueError("alphabet too large for fact-set enumeration")
+    least_p, least_q = _horn_closure(p), _horn_closure(q)
     for f in _fact_contexts(a):
-        lp = horn_least_model(p, f)
-        lq = horn_least_model(q, f)
+        lp = least_p(f)
+        lq = least_q(f)
         if lp != lq:
             d = lp if lp is not None else lq
             w = Witness(facts_program(f, p.universe), d, "left" if lp is not None else "right")
@@ -311,19 +319,21 @@ def _horn_direction(first: Program, second: Program, a: int, v: int) -> bool:
         return out
 
     renamed = Program(frozenset(Rule(rename(r.head), rename(r.pos), 0) for r in first.rules), first.universe)
+    least_renamed, least_second = _horn_closure(renamed), _horn_closure(second)
     for u in submasks(v):
         for w in submasks(u):
             pins, kills = rename(u) | w, rename(v & ~u) | (v & ~w)
-            if not any(horn_satisfiable(renamed, pins | r.pos, kills | r.head) for r in second.rules):
+            if not any(least_renamed(pins | r.pos, kills | r.head) is not None for r in second.rules):
                 break
         else:
-            if not _direction_exact_for_u(first, second, a, v, u):
+            if not _direction_exact_for_u(first, least_second, a, v, u):
                 return False
     return True
 
 
-def _direction_exact_for_u(first: Program, second: Program, a: int, v: int, u: int) -> bool:
-    return all(horn_satisfiable(second, r_part, (a & ~r_part) | (v & ~u))
+def _direction_exact_for_u(first: Program, least_second: Callable, a: int, v: int, u: int) -> bool:
+    # `least_second` is `_horn_closure` of the second program
+    return all(least_second(r_part, (a & ~r_part) | (v & ~u)) is not None
                for r_part in submasks(a) if is_model(r_part | u, first))
 
 

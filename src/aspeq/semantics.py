@@ -2,16 +2,18 @@
 the per-Y rows under the SE-, UE-, A-SE- and A-UE-model listings.
 
 All enumeration is exhaustive over bit masks and guarded by a capacity cap
-of 24 atoms; every function here is pure.  A row lists the X of the
-A-SE-models (X, Y) of a program at one Y, as the models are defined: Y is
-an A-minimal model of the reduct and the X are alphabet parts below it.
-The listings join the rows of every Y in ascending order, and the
-deciders compare two programs row by row up to the first Y that differs.
+of 24 atoms; every function here is pure.  ``is_answer_set`` asks the
+answer-set question of one interpretation, and its callers check the cap.
+A row lists the X of the A-SE-models (X, Y) of a program at one Y, as the
+models are defined: Y is an A-minimal model of the reduct and the X are
+alphabet parts below it.  The listings join the rows of every Y in
+ascending order, and the deciders compare two programs row by row up to
+the first Y that differs.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .syntax import Program, Rule, Universe, bits
 
@@ -89,20 +91,23 @@ def minimal_models(p: Program, over: Optional[int] = None) -> list[int]:
     return [y for y in models if not any(x in model_set for x in proper_submasks(y))]
 
 
+def is_answer_set(y: int, p: Program) -> bool:
+    """Is ``y`` an answer set of ``p``: ``y`` models ``p`` and no strict
+    subset of ``y`` models the reduct of ``p`` w.r.t. ``y``.  An atom of
+    ``y`` outside var(p) makes it False.  Costs up to 2^|y| model checks."""
+    # every x ⊆ y misses these rules' negative bodies: `satisfies` reads the reduct
+    red = [r for r in p.rules if not (r.neg & y)]
+    if not all(satisfies(y, r) for r in red):
+        return False
+    return not any(all(satisfies(x, r) for r in red) for x in proper_submasks(y))
+
+
 def answer_sets(p: Program) -> list[int]:
-    """All answer sets of ``p``: minimal models of the reduct, over var(p)."""
+    """All answer sets of ``p``: the subsets of var(p) that pass
+    ``is_answer_set``, ascending."""
     var = p.var
     check_capacity(var)
-    out = []
-    for y in submasks(var):
-        # every x ⊆ y misses these rules' negative bodies: `satisfies` reads the reduct
-        red = [r for r in p.rules if not (r.neg & y)]
-        if not all(satisfies(y, r) for r in red):
-            continue
-        if any(all(satisfies(x, r) for r in red) for x in proper_submasks(y)):
-            continue
-        out.append(y)
-    return out
+    return [y for y in submasks(var) if is_answer_set(y, p)]
 
 
 def _y_is_a_minimal_for_reduct(red: Program, y: int, a: int) -> bool:
@@ -161,28 +166,40 @@ def is_horn(p: Program) -> bool:
     return all(r.head.bit_count() <= 1 and r.neg == 0 for r in p.rules)
 
 
+def _horn_closure(p: Program) -> Callable[[int, int], Optional[int]]:
+    """``horn_least_model`` of ``p`` as a function of ``facts`` and
+    ``false``, with the rules of ``p`` checked and split once, for callers
+    that pin one program many times.  Raises ``ValueError`` when ``p`` is
+    not Horn."""
+    definite, constraints = [], []
+    for r in p.rules:
+        if r.neg or r.head.bit_count() > 1:
+            raise ValueError("program is not Horn")
+        (definite if r.head else constraints).append(r)
+
+    def least(facts: int = 0, false: int = 0) -> Optional[int]:
+        i = facts
+        changed = True
+        while changed:
+            changed = False
+            for r in definite:
+                if (r.pos & ~i) == 0 and (r.head & i) == 0:
+                    i |= r.head
+                    changed = True
+        if i & false or any((r.pos & ~i) == 0 for r in constraints):
+            return None
+        return i
+
+    return least
+
+
 def horn_least_model(p: Program, facts: int = 0, false: int = 0) -> Optional[int]:
     """Least model of Horn ``p`` containing the atoms ``facts``, or None
     when a constraint rejects it or it meets the atoms ``false``: forward
     chaining from ``facts`` (Dowling & Gallier 1984), as if each pinned atom
     were a fact or a constraint ``:- i.`` of ``p``.  Raises ``ValueError``
     when ``p`` is not Horn."""
-    definite, constraints = [], []
-    for r in p.rules:
-        if r.neg or r.head.bit_count() > 1:
-            raise ValueError("program is not Horn")
-        (definite if r.head else constraints).append(r)
-    i = facts
-    changed = True
-    while changed:
-        changed = False
-        for r in definite:
-            if (r.pos & ~i) == 0 and (r.head & i) == 0:
-                i |= r.head
-                changed = True
-    if i & false or any((r.pos & ~i) == 0 for r in constraints):
-        return None
-    return i
+    return _horn_closure(p)(facts, false)
 
 
 def horn_satisfiable(p: Program, facts: int = 0, false: int = 0) -> bool:

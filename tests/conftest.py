@@ -1,4 +1,5 @@
 import random
+from typing import Optional
 
 import pytest
 
@@ -81,6 +82,19 @@ def aue_direct(p: Program, a: int, over: int) -> list[ASEPair]:
             if not blocked and any(is_model(x | t, red) for t in submasks(y & ~a)):
                 out.append(ASEPair(x, y, a))
     return sorted(out, key=lambda pr: (pr.y, pr.x))
+
+
+def first_witness_two_lists(p: Program, q: Program, contexts) -> Optional[Witness]:
+    """The witness at the first context on which the answer sets of ``p``
+    and ``q`` differ, from both full answer-set lists: the least answer set
+    on one side only.  An oracle for ``_first_witness``, which scans one Y
+    at a time."""
+    for ctx in contexts:
+        sp, sq = set(answer_sets(p | ctx)), set(answer_sets(q | ctx))
+        if sp != sq:
+            d = min(sp ^ sq)
+            return Witness(ctx, d, "left" if d in sp else "right")
+    return None
 
 
 def strong_witness_reference(p: Program, q: Program, a: int) -> Witness:

@@ -14,6 +14,8 @@ from aspeq.equivalence import (
     VerificationError,
     Witness,
     _check_witness,
+    _fact_contexts,
+    _first_witness,
     brute_force_oracle,
     build_strong_witness,
     build_uniform_witness,
@@ -25,12 +27,12 @@ from aspeq.equivalence import (
     decide_rel_uniform,
     unary_rules,
 )
-from aspeq.harness import _setup
+from aspeq.harness import ATOM_NAMES, _setup, family_programs
 from aspeq.relativized import ase_models, aue_models
-from aspeq.semantics import answer_sets, is_horn, submasks
-from aspeq.syntax import Program, Rule, Universe
+from aspeq.semantics import CapacityError, answer_sets, is_horn, submasks
+from aspeq.syntax import Program, Rule, Universe, bits, facts_program
 
-from conftest import pair, prog, random_pair, strong_witness_reference
+from conftest import first_witness_two_lists, pair, prog, random_pair, strong_witness_reference
 
 
 def test_verdict_invariants():
@@ -306,6 +308,48 @@ def test_witness_builders_produce_valid_witnesses():
         if not vu.equivalent:
             w = vu.witness
             assert all(r.pos == 0 and r.neg == 0 for r in w.context.rules)
+
+
+def _unary_contexts(a: int, uni: Universe) -> list[Program]:
+    # the contexts of `brute_force_oracle` in "strong" mode
+    rules = unary_rules(a)
+    return [Program(frozenset(rules[i] for i in bits(k)), uni) for k in range(1 << len(rules))]
+
+
+@pytest.mark.parametrize("kind,stride", [("facts", 101), ("unary", 307)])
+def test_first_witness_matches_the_two_list_search(kind, stride):
+    # the one-Y scan stops at the least answer set on one side only
+    uni = Universe(ATOM_NAMES[:2])
+    progs = family_programs(uni, uni.full_mask, 2)
+    found = 0
+    for a in submasks(uni.full_mask):
+        if kind == "facts":
+            contexts = [facts_program(f, uni) for f in _fact_contexts(a)]
+        else:
+            contexts = _unary_contexts(a, uni)
+        for i, j in islice(product(range(len(progs)), repeat=2), a, None, stride):
+            p, q = progs[i], progs[j]
+            w = _first_witness(p, q, contexts)
+            assert w == first_witness_two_lists(p, q, contexts), (p.rules, q.rules, a)
+            found += w is not None
+    assert found > 1000
+
+
+def test_first_witness_checks_capacity_before_any_y(monkeypatch):
+    big = Universe([f"v{i}" for i in range(25)])
+    over_cap = facts_program(big.full_mask, big)
+    empty = Program(frozenset(), big)
+
+    def no_scan(y, p):  # fails fast where a scan of 2^25 Ys would start
+        raise AssertionError(f"Y {y} scanned past the cap")
+
+    monkeypatch.setattr("aspeq.equivalence.is_answer_set", no_scan)
+    with pytest.raises(CapacityError):
+        _first_witness(empty, empty, [over_cap])
+    with pytest.raises(CapacityError):
+        decide(over_cap, empty, "ordinary")
+    with pytest.raises(CapacityError):
+        _check_witness(empty, over_cap, Witness(empty, 0, "right"))
 
 
 def test_check_witness_rejects_a_tampered_witness():

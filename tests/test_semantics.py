@@ -9,6 +9,7 @@ from aspeq.semantics import (
     horn_entails,
     horn_least_model,
     horn_satisfiable,
+    is_answer_set,
     is_model,
     minimal_models,
     proper_submasks,
@@ -16,10 +17,10 @@ from aspeq.semantics import (
     satisfies,
     submasks,
 )
-from aspeq.harness import GeneratorConfig, random_program
+from aspeq.harness import ATOM_NAMES, GeneratorConfig, family_programs, random_program
 from aspeq.syntax import Program, Rule, Universe, bits, parse_program
 
-from conftest import pair, prog
+from conftest import pair, prog, random_pair
 
 
 def masks(uni, *names_groups):
@@ -96,6 +97,41 @@ def test_answer_sets_empty_program_regression():
 def test_answer_sets_of_falsity():
     uni = Universe()
     assert answer_sets(Program(frozenset([Rule(0, 0, 0)]), uni)) == []
+
+
+def _answer_set_by_definition(y: int, p: Program) -> bool:
+    return is_model(y, p) and y in minimal_models(reduct(p, y), p.var | y)
+
+
+def _check_is_answer_set(p: Program) -> int:
+    """Compare on every y over var(p), and on each with one atom outside
+    var(p) added; return the number of answer sets."""
+    var = p.var
+    outside = ~var & (var + 1)  # the least atom id not in var(p)
+    for y in submasks(var):
+        assert is_answer_set(y, p) == _answer_set_by_definition(y, p), (p.rules, y)
+        assert not is_answer_set(y | outside, p) and not _answer_set_by_definition(y | outside, p)
+    return sum(is_answer_set(y, p) for y in submasks(var))
+
+
+def test_is_answer_set_matches_the_definition_on_the_family():
+    uni = Universe(ATOM_NAMES[:2])
+    found = sum(_check_is_answer_set(p) for p in family_programs(uni, uni.full_mask, 2))
+    assert found > 300
+
+
+def test_is_answer_set_matches_the_definition_on_random_programs():
+    found = 0
+    for seed in range(150):
+        p, q, _, _ = random_pair(seed, atoms=5, max_rules=7)
+        found += _check_is_answer_set(p) + _check_is_answer_set(q)
+    assert found > 100
+
+
+def test_is_answer_set_at_the_empty_interpretation():
+    uni = Universe()
+    assert is_answer_set(0, Program(frozenset(), uni))
+    assert not is_answer_set(0, Program(frozenset([Rule(0, 0, 0)]), uni))
 
 
 def test_submask_orders():
