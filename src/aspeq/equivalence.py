@@ -346,7 +346,8 @@ def brute_force_oracle(p: Program, q: Program, a: int, mode: str) -> Verdict:
     """
     _shared(p, q)
     if mode == "ordinary":
-        return decide_ordinary(p, q)
+        w = _first_witness(p, q, [Program(frozenset(), p.universe)])
+        return Verdict(w is None, "ordinary", 0, w)
     if mode == "uniform":
         if a.bit_count() > 12:
             raise ValueError("alphabet too large for the uniform oracle")

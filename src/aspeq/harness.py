@@ -1,21 +1,21 @@
 """Random program generation, exhaustive sweeps, fast definitional oracles.
 
-The sweep machinery enumerates every program built from a bounded rule
-shape family (heads up to two atoms, at most one positive and one negative
-body atom) and evaluates named properties over all programs, pairs, and
-alphabets.  The "fast oracle" helpers compute the same verdicts as literal
+``exhaustive_sweep`` runs each ``PROPERTIES`` entry, a case source and a
+check, over a bounded rule family (heads up to two atoms, at most one
+positive and one negative body atom): its programs, their ordered pairs or
+its rules.  The "fast oracle" helpers compute the same verdicts as literal
 context enumeration but factor the work through SE-model sets: a context
-acts on a program only through its SE-models, so contexts are grouped into
-classes with equal SE-models over the alphabet.
+acts on a program only through its SE-models over the alphabet.  The class
+tables (``context_se_classes``, ``unary_classes``) are cached per size.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from random import Random
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .classify import classify
 from .equivalence import unary_rules
@@ -106,6 +106,18 @@ def project(mask: int, positions: list[int]) -> int:
     return out
 
 
+def _se_set(rules: Collection[Rule], over: int) -> frozenset[tuple[int, int]]:
+    """SE-models of ``rules`` over ``over`` by definition: the pairs where Y
+    models the rules and X ⊆ Y models the reduct, the rules whose negative
+    body misses Y without their negative body."""
+    pairs = []
+    for y in submasks(over):
+        if all(satisfies(y, r) for r in rules):
+            red = [Rule(r.head, r.pos, 0) for r in rules if not (r.neg & y)]
+            pairs.extend((x, y) for x in submasks(y) if all(satisfies(x, r) for r in red))
+    return frozenset(pairs)
+
+
 @lru_cache(maxsize=None)
 def context_se_classes(alpha_size: int) -> tuple[frozenset, ...]:
     """Distinct SE-model sets realized by programs of at most three rules
@@ -119,18 +131,19 @@ def context_se_classes(alpha_size: int) -> tuple[frozenset, ...]:
         for p in submasks(over)
         for n in submasks(over)
     ]
-    seen = set()
-    for k in range(4):
-        for combo in itertools.combinations(rules, k):
-            prog = frozenset(combo)
-            pairs = []
-            for y in submasks(over):
-                if not all(satisfies(y, r) for r in prog):
-                    continue
-                red = [Rule(r.head, r.pos, 0) for r in prog if not (r.neg & y)]
-                pairs.extend((x, y) for x in submasks(y) if all(satisfies(x, r) for r in red))
-            seen.add(frozenset(pairs))
-    return tuple(sorted(seen, key=lambda s: sorted(s)))
+    seen = {_se_set(combo, over) for k in range(4) for combo in itertools.combinations(rules, k)}
+    return tuple(sorted(seen, key=sorted))
+
+
+@lru_cache(maxsize=None)
+def unary_classes(alpha_size: int) -> tuple[frozenset, ...]:
+    """SE-model sets of the unary programs over an ``alpha_size``-atom alphabet
+    (abstract bit positions), one per subset of ``unary_rules`` in pick order."""
+    if alpha_size > 3:
+        raise ValueError("unary-class enumeration supports at most 3 alphabet atoms")
+    over = (1 << alpha_size) - 1
+    rules = unary_rules(over)
+    return tuple(_se_set([rules[i] for i in bits(pick)], over) for pick in range(1 << len(rules)))
 
 
 def sm_from_se(pairs: Iterable[tuple[int, int]]) -> frozenset[int]:
@@ -146,21 +159,20 @@ def sm_with_facts(pairs: Iterable[tuple[int, int]], f: int) -> frozenset[int]:
     return sm_from_se((x, y) for x, y in pairs if (f & ~x) == 0)
 
 
-def sm_under_class(pairs: Iterable[tuple[int, int]], positions: list[int], cls: frozenset) -> frozenset[int]:
-    """Answer sets of P plus any context whose SE-models over the alphabet
-    equal ``cls`` (positions give the alphabet bits in ascending order)."""
+def sm_under_classes(pairs: Iterable[tuple[int, int]], a: int, classes: Iterable[frozenset]) -> tuple:
+    """SM(P plus C) for a context C of each class (its SE-models over the
+    alphabet ``a``, in abstract bit positions), from the SE-models of P."""
+    positions = list(bits(a))
     by_y: dict[int, list[int]] = {}
     for x, y in pairs:
         by_y.setdefault(y, []).append(x)
-    out = []
+    rows = []  # per total (y, y) of P: y, and (y, y) and its partners (x, y) projected
     for y, xs in by_y.items():
-        ya = project(y, positions)
-        if (ya, ya) not in cls or y not in xs:
-            continue
-        if any(x != y and (project(x, positions), ya) in cls for x in xs):
-            continue
-        out.append(y)
-    return frozenset(out)
+        if y in xs:
+            ya = project(y, positions)
+            rows.append((y, (ya, ya), {(project(x, positions), ya) for x in xs if x != y}))
+    return tuple(frozenset(y for y, total, partners in rows if total in cls and cls.isdisjoint(partners))
+                 for cls in classes)
 
 
 def uniform_signature(p: Program, a: int, over: int) -> tuple:
@@ -171,30 +183,12 @@ def uniform_signature(p: Program, a: int, over: int) -> tuple:
 
 def strong_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus R) for one representative R of every context class."""
-    positions = list(bits(a))
-    classes = context_se_classes(len(positions))
-    pairs = se_models(p, over)
-    return tuple(sm_under_class(pairs, positions, cls) for cls in classes)
+    return sm_under_classes(se_models(p, over), a, context_se_classes(a.bit_count()))
 
 
 def unary_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus U) for every unary program U over the alphabet."""
-    rules = unary_rules(a)
-    pairs = se_models(p, over)
-    positions = list(bits(a))
-    out = []
-    for pick in range(1 << len(rules)):
-        ctx = [rules[i] for i in bits(pick)]
-        cls = frozenset(
-            (x, y)
-            for y in submasks(a)
-            if all(satisfies(y, r) for r in ctx)
-            for x in submasks(y)
-            if all(satisfies(x, r) for r in ctx)
-        )
-        proj = frozenset((project(x, positions), project(y, positions)) for x, y in cls)
-        out.append(sm_under_class(pairs, positions, proj))
-    return tuple(out)
+    return sm_under_classes(se_models(p, over), a, unary_classes(a.bit_count()))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +207,8 @@ class SweepReport:
 
 
 def exhaustive_sweep(atom_count: int, prop: str, max_rules: Optional[int] = None) -> SweepReport:
-    """Evaluate a registered property over the exhaustive program family."""
+    """Evaluate a registered property over the exhaustive program family,
+    stopping at 20 counterexamples."""
     if not 1 <= atom_count <= 3:
         raise ValueError("exhaustive sweeps support 1 to 3 atoms")
     if max_rules is not None and max_rules < 0:
@@ -222,19 +217,9 @@ def exhaustive_sweep(atom_count: int, prop: str, max_rules: Optional[int] = None
         raise ValueError(f"unknown property {prop!r}")
     if max_rules is None:
         max_rules = 2 if atom_count <= 2 else 1
-    return PROPERTIES[prop](atom_count, max_rules)
-
-
-def _setup(atom_count: int, max_rules: int):
-    uni = Universe(ATOM_NAMES[:atom_count])
-    over = uni.full_mask
-    return uni, over, family_programs(uni, over, max_rules)
-
-
-def _sweep(name: str, cases: Iterable[tuple], check) -> SweepReport:
-    # `check(*case)` returns a counterexample message or None; stops at 20
-    report = SweepReport(name, 0)
-    for case in cases:
+    cases, check = PROPERTIES[prop]
+    report = SweepReport(prop, 0)
+    for case in cases(atom_count, max_rules):
         report.checked += 1
         err = check(*case)
         if err:
@@ -244,196 +229,160 @@ def _sweep(name: str, cases: Iterable[tuple], check) -> SweepReport:
     return report
 
 
-def _sweep_programs(name: str, atom_count: int, max_rules: int, check) -> SweepReport:
+def _setup(atom_count: int, max_rules: int):
+    uni = Universe(ATOM_NAMES[:atom_count])
+    over = uni.full_mask
+    return uni, over, family_programs(uni, over, max_rules)
+
+
+def _programs(atom_count: int, max_rules: int):
+    # (p, uni, over) per family program
     uni, over, progs = _setup(atom_count, max_rules)
-    return _sweep(name, ((p, uni, over) for p in progs), check)
+    return ((p, uni, over) for p in progs)
 
 
-def _prop_ue_subset_se(atom_count, max_rules):
-    def check(p, uni, over):
-        se = set(se_models(p, over))
-        ue = set(ue_models(p, over))
-        if not ue <= se:
-            return f"UE not within SE for: {p.rules}"
-        totals = {(y, y) for x, y in se if x == y}
-        if not totals <= ue:
-            return f"total SE-model missing from UE for: {p.rules}"
-        return None
-
-    return _sweep_programs("ue-subset-se", atom_count, max_rules, check)
-
-
-def _prop_answer_sets_se(atom_count, max_rules):
-    def check(p, uni, over):
-        direct = sorted(answer_sets(p))
-        via = sorted(sm_from_se(se_models(p)))
-        if direct != via:
-            return f"answer-set characterizations disagree for: {p.rules}"
-        return None
-
-    return _sweep_programs("answer-sets-se", atom_count, max_rules, check)
-
-
-def _prop_ase_answer_sets(atom_count, max_rules):
-    # answer sets are exactly the totals without a non-total partner, for
-    # every alphabet
-    def check(p, uni, over):
-        sm = set(answer_sets(p))
-        for a in submasks(over):
-            pairs = ase_models(p, a, over)
-            totals = {pr.y for pr in pairs if pr.total}
-            with_partner = {pr.y for pr in pairs if not pr.total}
-            if sm != totals - with_partner:
-                return f"alphabet {uni.fmt(a)} breaks the answer-set reading for: {p.rules}"
-        return None
-
-    return _sweep_programs("ase-answer-sets", atom_count, max_rules, check)
-
-
-def _prop_small_alphabet(atom_count, max_rules):
-    def check(p, uni, over):
-        for a in submasks(over):
-            if a.bit_count() > 1:
-                continue
-            if set(ase_models(p, a, over)) != set(aue_models(p, a, over)):
-                return f"alphabet {uni.fmt(a)} splits SE/UE for: {p.rules}"
-        return None
-
-    return _sweep_programs("small-alphabet-collapse", atom_count, max_rules, check)
-
-
-def _pairwise(name: str, atom_count: int, max_rules: int, precompute, compare, keep=None) -> SweepReport:
-    # every ordered pair of the family programs that pass `keep`
+def _pairs(precompute, atom_count: int, max_rules: int, keep=None):
+    # (p, q, precompute(p), precompute(q), uni, over) per ordered pair of the
+    # family programs that pass `keep`
     uni, over, progs = _setup(atom_count, max_rules)
     progs = [p for p in progs if keep is None or keep(p)]
     data = [precompute(p, uni, over) for p in progs]
-    cases = ((p, q, dp, dq, uni, over) for p, dp in zip(progs, data) for q, dq in zip(progs, data))
-    return _sweep(name, cases, compare)
+    return ((p, q, dp, dq, uni, over) for p, dp in zip(progs, data) for q, dq in zip(progs, data))
 
 
-def _prop_hierarchy(atom_count, max_rules):
-    def pre(p, uni, over):
-        return (
-            frozenset(se_models(p, over)),
-            frozenset(ue_models(p, over)),
-            frozenset(answer_sets(p)),
-        )
-
-    def cmp(p, q, dp, dq, uni, over):
-        strong, uniform, ordinary = dp[0] == dq[0], dp[1] == dq[1], dp[2] == dq[2]
-        if strong and not uniform:
-            return f"strong without uniform: {p.rules} vs {q.rules}"
-        if uniform and not ordinary:
-            return f"uniform without ordinary: {p.rules} vs {q.rules}"
-        return None
-
-    return _pairwise("hierarchy", atom_count, max_rules, pre, cmp)
-
-
-def _prop_uniform_oracle(atom_count, max_rules):
-    def pre(p, uni, over):
-        sig = uniform_signature(p, over, over)
-        return (frozenset(ue_models(p, over)), sig)
-
-    def cmp(p, q, dp, dq, uni, over):
-        if (dp[0] == dq[0]) != (dp[1] == dq[1]):
-            return f"uniform decider disagrees with fact-set oracle: {p.rules} vs {q.rules}"
-        return None
-
-    return _pairwise("uniform-oracle", atom_count, max_rules, pre, cmp)
-
-
-def _prop_unary_oracle(atom_count, max_rules):
-    def pre(p, uni, over):
-        return {a: (frozenset(ase_models(p, a, over)), unary_signature(p, a, over)) for a in submasks(over)}
-
-    def cmp(p, q, dp, dq, uni, over):
-        for a in dp:
-            if (dp[a][0] == dq[a][0]) != (dp[a][1] == dq[a][1]):
-                return f"rel-strong decider disagrees with unary oracle at {uni.fmt(a)}: {p.rules} vs {q.rules}"
-        return None
-
-    return _pairwise("unary-oracle", atom_count, max_rules, pre, cmp)
-
-
-def _prop_positive_collapse(atom_count, max_rules):
-    def pre(p, uni, over):
-        return {
-            a: (
-                frozenset(ase_models(p, a, over)),
-                frozenset(aue_models(p, a, over)),
-                frozenset(a_minimal_models(p, a, over)),
-            )
-            for a in submasks(over)
-        }
-
-    def cmp(p, q, dp, dq, uni, over):
-        for a in dp:
-            s, u, m = (dp[a][k] == dq[a][k] for k in range(3))
-            if not (s == u == m):
-                return f"positive collapse fails at {uni.fmt(a)}: {p.rules} vs {q.rules}"
-        return None
-
-    return _pairwise("positive-collapse", atom_count, max_rules, pre, cmp,
-                     keep=lambda p: all(r.neg == 0 for r in p.rules))
-
-
-def _shift_cases(atom_count: int):
-    # per family rule r: r, the SE-models of {r} and of its shift, the atoms
-    uni = Universe(ATOM_NAMES[:atom_count])
-    over = uni.full_mask
+def _rules(atom_count: int, max_rules: int):
+    # (r, SE-models of {r}, SE-models of its shift, over) per family rule
+    uni, over, _ = _setup(atom_count, 0)
     for r in family_rules(over):
         se = set(se_models(Program(frozenset([r]), uni), over))
         yield r, se, set(se_models(Program(shift_rule(r), uni), over)), over
 
 
-def _prop_shift_subset(atom_count, max_rules):
-    def check(r, se, shifted, over):
-        return None if se <= shifted else f"SE not preserved by shift for rule {r}"
-
-    return _sweep("shift-subset", _shift_cases(atom_count), check)
-
-
-def _prop_shift_difference(atom_count, max_rules):
-    def check(r, se, shifted, over):
-        return None if shifted - se == set(s_r(r, over)) else f"SE difference mismatch for rule {r}"
-
-    return _sweep("shift-difference", _shift_cases(atom_count), check)
+def _ue_subset_se(p, uni, over):
+    se = set(se_models(p, over))
+    ue = set(ue_models(p, over))
+    if not ue <= se:
+        return f"UE not within SE for: {p.rules}"
+    totals = {(y, y) for x, y in se if x == y}
+    if not totals <= ue:
+        return f"total SE-model missing from UE for: {p.rules}"
+    return None
 
 
-def _prop_degenerate(atom_count, max_rules):
-    def pre(p, uni, over):
-        return (
-            frozenset(answer_sets(p)),
-            frozenset(se_models(p, over)),
-            frozenset(ue_models(p, over)),
-            frozenset(ase_models(p, 0, over)),
-            frozenset(ase_models(p, over, over)),
-            frozenset(aue_models(p, over, over)),
-        )
-
-    def cmp(p, q, dp, dq, uni, over):
-        if (dp[3] == dq[3]) != (dp[0] == dq[0]):
-            return f"empty alphabet differs from ordinary: {p.rules} vs {q.rules}"
-        if (dp[4] == dq[4]) != (dp[1] == dq[1]):
-            return f"full alphabet differs from strong: {p.rules} vs {q.rules}"
-        if (dp[5] == dq[5]) != (dp[2] == dq[2]):
-            return f"full alphabet differs from uniform: {p.rules} vs {q.rules}"
-        return None
-
-    return _pairwise("degenerate-alphabets", atom_count, max_rules, pre, cmp)
+def _answer_sets_se(p, uni, over):
+    direct = sorted(answer_sets(p))
+    via = sorted(sm_from_se(se_models(p)))
+    if direct != via:
+        return f"answer-set characterizations disagree for: {p.rules}"
+    return None
 
 
-PROPERTIES: dict[str, Callable[[int, int], SweepReport]] = {
-    "ue-subset-se": _prop_ue_subset_se,
-    "answer-sets-se": _prop_answer_sets_se,
-    "ase-answer-sets": _prop_ase_answer_sets,
-    "small-alphabet-collapse": _prop_small_alphabet,
-    "hierarchy": _prop_hierarchy,
-    "uniform-oracle": _prop_uniform_oracle,
-    "unary-oracle": _prop_unary_oracle,
-    "positive-collapse": _prop_positive_collapse,
-    "shift-subset": _prop_shift_subset,
-    "shift-difference": _prop_shift_difference,
-    "degenerate-alphabets": _prop_degenerate,
+def _ase_answer_sets(p, uni, over):
+    # answer sets are exactly the totals without a non-total partner, for
+    # every alphabet
+    sm = set(answer_sets(p))
+    for a in submasks(over):
+        if sm != sm_from_se((pr.x, pr.y) for pr in ase_models(p, a, over)):
+            return f"alphabet {uni.fmt(a)} breaks the answer-set reading for: {p.rules}"
+    return None
+
+
+def _small_alphabet(p, uni, over):
+    for a in submasks(over):
+        if a.bit_count() > 1:
+            continue
+        if set(ase_models(p, a, over)) != set(aue_models(p, a, over)):
+            return f"alphabet {uni.fmt(a)} splits SE/UE for: {p.rules}"
+    return None
+
+
+def _model_sets(p, uni, over):
+    # the hierarchy reads the first three, the degenerate alphabets all six
+    return (
+        frozenset(answer_sets(p)),
+        frozenset(se_models(p, over)),
+        frozenset(ue_models(p, over)),
+        frozenset(ase_models(p, 0, over)),
+        frozenset(ase_models(p, over, over)),
+        frozenset(aue_models(p, over, over)),
+    )
+
+
+def _hierarchy(p, q, dp, dq, uni, over):
+    ordinary, strong, uniform = dp[0] == dq[0], dp[1] == dq[1], dp[2] == dq[2]
+    if strong and not uniform:
+        return f"strong without uniform: {p.rules} vs {q.rules}"
+    if uniform and not ordinary:
+        return f"uniform without ordinary: {p.rules} vs {q.rules}"
+    return None
+
+
+def _uniform_data(p, uni, over):
+    sig = uniform_signature(p, over, over)
+    return (frozenset(ue_models(p, over)), sig)
+
+
+def _uniform_oracle(p, q, dp, dq, uni, over):
+    if (dp[0] == dq[0]) != (dp[1] == dq[1]):
+        return f"uniform decider disagrees with fact-set oracle: {p.rules} vs {q.rules}"
+    return None
+
+
+def _unary_data(p, uni, over):
+    return {a: (frozenset(ase_models(p, a, over)), unary_signature(p, a, over)) for a in submasks(over)}
+
+
+def _unary_oracle(p, q, dp, dq, uni, over):
+    for a in dp:
+        if (dp[a][0] == dq[a][0]) != (dp[a][1] == dq[a][1]):
+            return f"rel-strong decider disagrees with unary oracle at {uni.fmt(a)}: {p.rules} vs {q.rules}"
+    return None
+
+
+def _collapse_data(p, uni, over):
+    kinds = (ase_models, aue_models, a_minimal_models)
+    return {a: tuple(frozenset(kind(p, a, over)) for kind in kinds) for a in submasks(over)}
+
+
+def _positive_collapse(p, q, dp, dq, uni, over):
+    for a in dp:
+        s, u, m = (dp[a][k] == dq[a][k] for k in range(3))
+        if not (s == u == m):
+            return f"positive collapse fails at {uni.fmt(a)}: {p.rules} vs {q.rules}"
+    return None
+
+
+def _shift_subset(r, se, shifted, over):
+    return None if se <= shifted else f"SE not preserved by shift for rule {r}"
+
+
+def _shift_difference(r, se, shifted, over):
+    return None if shifted - se == set(s_r(r, over)) else f"SE difference mismatch for rule {r}"
+
+
+def _degenerate(p, q, dp, dq, uni, over):
+    if (dp[3] == dq[3]) != (dp[0] == dq[0]):
+        return f"empty alphabet differs from ordinary: {p.rules} vs {q.rules}"
+    if (dp[4] == dq[4]) != (dp[1] == dq[1]):
+        return f"full alphabet differs from strong: {p.rules} vs {q.rules}"
+    if (dp[5] == dq[5]) != (dp[2] == dq[2]):
+        return f"full alphabet differs from uniform: {p.rules} vs {q.rules}"
+    return None
+
+
+# property name -> (case source, check): `cases(atom_count, max_rules)`
+# yields the arguments of `check`, which returns a counterexample or None
+PROPERTIES: dict[str, tuple[Callable[[int, int], Iterable[tuple]], Callable[..., Optional[str]]]] = {
+    "ue-subset-se": (_programs, _ue_subset_se),
+    "answer-sets-se": (_programs, _answer_sets_se),
+    "ase-answer-sets": (_programs, _ase_answer_sets),
+    "small-alphabet-collapse": (_programs, _small_alphabet),
+    "hierarchy": (partial(_pairs, _model_sets), _hierarchy),
+    "uniform-oracle": (partial(_pairs, _uniform_data), _uniform_oracle),
+    "unary-oracle": (partial(_pairs, _unary_data), _unary_oracle),
+    "positive-collapse": (partial(_pairs, _collapse_data, keep=lambda p: all(r.neg == 0 for r in p.rules)),
+                          _positive_collapse),
+    "shift-subset": (_rules, _shift_subset),
+    "shift-difference": (_rules, _shift_difference),
+    "degenerate-alphabets": (partial(_pairs, _model_sets), _degenerate),
 }

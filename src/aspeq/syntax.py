@@ -253,10 +253,12 @@ def rule_to_str(r: Rule, universe: Universe) -> str:
 
 
 def canonical_rules(p: Program) -> list[Rule]:
-    """The rules of ``p`` in canonical order: sorted by (head, pos, neg) masks."""
+    """The rules of ``p`` in canonical order: sorted by (head, pos, neg) masks,
+    so the order is canonical only within one ``Universe``."""
     return sorted(p.rules, key=lambda r: (r.head, r.pos, r.neg))
 
 
 def render(p: Program) -> str:
-    """Canonical text form: one line per rule, in ``canonical_rules`` order."""
+    """Canonical text form: one line per rule, in ``canonical_rules`` order,
+    which is canonical only within one ``Universe``."""
     return "\n".join(rule_to_str(r, p.universe) for r in canonical_rules(p))

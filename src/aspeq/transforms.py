@@ -9,6 +9,7 @@ relativized strong equivalence.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 from .semantics import _ase_pairs, check_capacity, submasks
@@ -48,52 +49,33 @@ def s_r(r: Rule, over: int) -> list[tuple[int, int]]:
     return out
 
 
-def _reach_masks(p: Program, extra_clique: int = 0) -> dict[int, int]:
-    """Positive-dependency reachability: for each atom, the mask of atoms
-    reachable via body->head edges (plus an optional clique)."""
-    var = p.var | extra_clique
-    adj: dict[int, int] = {i: 0 for i in bits(var)}
+def _head_cycle_free(p: Program, clique: int = 0) -> bool:
+    """No two head atoms of one rule reach each other along the positive
+    dependency edges body->head, plus a clique over ``clique``.  The
+    reachability masks are Warshall's closure over the bit masks."""
+    reach = {i: 0 for i in bits(p.var | clique)}
     for r in p.rules:
         for b in bits(r.pos):
-            adj.setdefault(b, 0)
-            adj[b] |= r.head & ~(1 << b)
-    for i in bits(extra_clique):
-        adj.setdefault(i, 0)
-        adj[i] |= extra_clique & ~(1 << i)
-    reach = dict(adj)
-    changed = True
-    while changed:
-        changed = False
+            reach[b] |= r.head & ~(1 << b)
+    for i in bits(clique):
+        reach[i] |= clique & ~(1 << i)
+    for k in reach:
         for i, m in reach.items():
-            expanded = m
-            for j in bits(m):
-                expanded |= reach.get(j, 0)
-            if expanded != m:
-                reach[i] = expanded
-                changed = True
-    return reach
-
-
-def _hcf_against(p: Program, reach: dict[int, int]) -> bool:
-    for r in p.rules:
-        heads = list(bits(r.head))
-        for i in range(len(heads)):
-            for j in range(i + 1, len(heads)):
-                a, b = heads[i], heads[j]
-                if reach.get(a, 0) & (1 << b) and reach.get(b, 0) & (1 << a):
-                    return False
-    return True
+            if (m >> k) & 1:
+                reach[i] = m | reach[k]
+    return not any((reach[a] >> b) & 1 and (reach[b] >> a) & 1
+                   for r in p.rules for a, b in combinations(bits(r.head), 2))
 
 
 def is_hcf(p: Program) -> bool:
     """No positive-dependency cycle through two head atoms of one rule."""
-    return _hcf_against(p, _reach_masks(p))
+    return _head_cycle_free(p)
 
 
 def is_a_hcf(p: Program, a: int) -> bool:
     """Head-cycle freeness on the dependency graph augmented with a clique
     over the alphabet ``a``."""
-    return _hcf_against(p, _reach_masks(p, extra_clique=a))
+    return _head_cycle_free(p, a)
 
 
 def check_shift_safe(p: Program, r: Rule, a: int) -> bool:

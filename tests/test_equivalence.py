@@ -272,6 +272,10 @@ def test_brute_force_oracle_modes():
     p, q, uni = pair("a | b.", "a :- not b. b :- not a.")
     ab = uni.full_mask
     assert brute_force_oracle(p, q, 0, "ordinary").equivalent
+    # the empty-context scan gives the decider's verdict and witness
+    for seed in range(60):
+        p2, q2, _, _ = random_pair(seed, atoms=4, max_rules=4)
+        assert brute_force_oracle(p2, q2, 0, "ordinary") == decide_ordinary(p2, q2), seed
     assert brute_force_oracle(p, q, ab, "uniform").equivalent
     v = brute_force_oracle(p, q, ab, "strong")
     assert not v.equivalent

@@ -5,6 +5,8 @@ from aspeq.classify import classify
 from aspeq.harness import (
     PROPERTIES,
     GeneratorConfig,
+    _se_set,
+    _setup,
     context_se_classes,
     exhaustive_sweep,
     family_programs,
@@ -15,6 +17,7 @@ from aspeq.harness import (
     sm_with_facts,
     strong_signature,
     uniform_signature,
+    unary_classes,
     unary_signature,
 )
 from aspeq.se import se_models
@@ -104,12 +107,20 @@ def test_uniform_signature_equality_is_uniform_equivalence():
 def test_context_se_classes_bounds():
     with pytest.raises(ValueError):
         context_se_classes(3)
+    with pytest.raises(ValueError):
+        unary_classes(4)
     one = context_se_classes(1)
     two = context_se_classes(2)
-    assert len(one) < len(two)
+    assert [len(context_se_classes(k)) for k in range(3)] == [2, 5, 47]
     # the empty context class (all pairs) is always realized
     full = frozenset((x, y) for y in range(4) for x in submasks(y))
     assert full in two
+    # one class per subset of the k facts and k*k single-body rules
+    for k in range(3):
+        assert len(unary_classes(k)) == 2 ** (k + k * k)
+    uni, over, progs = _setup(2, 2)
+    for p in progs:
+        assert _se_set(p.rules, over) == frozenset(se_models(p, over)), p.rules
 
 
 def test_strong_and_unary_signatures_agree():
@@ -141,11 +152,23 @@ def test_exhaustive_sweep_validation():
         exhaustive_sweep(2, "no-such-property")
 
 
+# cases per property shape at 1, 2 and 3 atoms (default max_rules): family
+# programs, ordered pairs, ordered pairs of positive programs, family rules
+SWEEP_CASES = {1: (37, 1369, 121, 8), 2: (667, 444889, 6241, 36), 3: (113, 12769, 841, 112)}
+SHAPE = {
+    "ue-subset-se": 0, "answer-sets-se": 0, "ase-answer-sets": 0, "small-alphabet-collapse": 0,
+    "hierarchy": 1, "uniform-oracle": 1, "unary-oracle": 1, "degenerate-alphabets": 1,
+    "positive-collapse": 2, "shift-subset": 3, "shift-difference": 3,
+}
+
+
 def test_all_properties_pass_at_two_atoms():
-    for name in PROPERTIES:
-        report = exhaustive_sweep(2, name)
-        assert report.ok, (name, report.counterexamples[:3])
-        assert report.checked > 0
+    assert sorted(SHAPE) == sorted(PROPERTIES)
+    for atoms in (2, 1, 3):
+        for name in PROPERTIES:
+            report = exhaustive_sweep(atoms, name)
+            assert report.ok, (atoms, name, report.counterexamples[:3])
+            assert report.checked == SWEEP_CASES[atoms][SHAPE[name]], (atoms, name)
 
 
 @pytest.mark.parametrize("prop,atoms,name,broken", [

@@ -1,9 +1,13 @@
+from collections import deque
+from itertools import combinations
+
 import pytest
 
 from aspeq.equivalence import decide_ordinary, decide_rel_strong
+from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.se import decide_strong, decide_uniform, se_models
 from aspeq.semantics import submasks
-from aspeq.syntax import Program, Rule, Universe, parse_program, render
+from aspeq.syntax import Program, Rule, Universe, bits, parse_program, render
 from aspeq.transforms import (
     check_shift_safe,
     eliminate_constraints_negation,
@@ -85,6 +89,47 @@ def test_is_a_hcf():
     # the clique over {a,b} creates the head cycle
     assert not is_a_hcf(p, uni.full_mask)
     assert is_a_hcf(p, uni.mask_of(["a"]))
+
+
+def _has_head_cycle(p: Program, a: int) -> bool:
+    """Definition: two head atoms of one rule reach each other along the
+    edges b -> h (b in a rule's positive body, h != b in its head) plus the
+    clique over ``a``; the paths are found by breadth-first search."""
+    edges = {}
+    for r in p.rules:
+        for b in bits(r.pos):
+            edges.setdefault(b, set()).update(h for h in bits(r.head) if h != b)
+    for i in bits(a):
+        edges.setdefault(i, set()).update(j for j in bits(a) if j != i)
+
+    def reaches(s, t):
+        seen, queue = {s}, deque([s])
+        while queue:
+            for v in edges.get(queue.popleft(), ()):
+                if v == t:
+                    return True
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return False
+
+    return any(reaches(i, j) and reaches(j, i) for r in p.rules for i, j in combinations(bits(r.head), 2))
+
+
+def test_hcf_matches_path_definition():
+    uni = Universe(ATOM_NAMES[:2])
+    cases = [(p, a) for p in family_programs(uni, uni.full_mask) for a in submasks(uni.full_mask)]
+    for seed in range(300):
+        p, _, uni, rng = random_pair(seed, atoms=3 + seed % 4, max_rules=8)
+        cases += [(p, 0), (p, rng.randint(0, uni.full_mask)), (p, uni.full_mask)]
+    cycles = 0
+    for p, a in cases:
+        cycle = _has_head_cycle(p, a)
+        cycles += cycle
+        assert is_a_hcf(p, a) == (not cycle), (p.rules, a)
+        if a == 0:
+            assert is_hcf(p) == (not cycle), p.rules
+    assert 0 < cycles < len(cases)
 
 
 def test_check_shift_safe_examples():
