@@ -10,8 +10,8 @@ Subcommands::
 Exit codes: 0 equivalent / all models listed / property holds, 1 not
 equivalent or property violated, 2 usage or parse error, 3 capacity
 exceeded.  ``--format json`` emits a machine-readable report with a
-versioned ``"schema": 1`` field describing the same verdict as the text
-output.
+versioned ``schema`` field (now 1) describing the same verdict as the text
+output; ``_report`` prints every report in either format.
 """
 
 from __future__ import annotations
@@ -122,39 +122,42 @@ def _split_atoms(spec: str) -> list[str]:
     return names
 
 
+def _report(args, doc, lines) -> None:
+    """Print one report: the document ``doc()`` as one JSON line under
+    ``--format json``, else each of ``lines`` on a line of its own."""
+    if args.format == "json":
+        print(json.dumps({"schema": 1, **doc()}))
+    else:
+        for line in lines:
+            print(line)
+
+
 def cmd_check(args) -> int:
     uni = Universe()
     p = _load(args.p, uni)
     q = _load(args.q, uni)
     a = _alphabet(args, uni, default=uni.full_mask)
     verdict = decide(p, q, args.mode, a)
-    if args.format == "json":
-        print(json.dumps(_verdict_json(verdict, uni)))
-    else:
-        _print_verdict(verdict, uni, args.p, args.q)
+    _report(args, lambda: _verdict_json(verdict, uni), _verdict_text(verdict, uni, args.p, args.q))
     return 0 if verdict.equivalent else 1
 
 
-def _print_verdict(v: Verdict, uni: Universe, pname: str, qname: str) -> None:
+def _verdict_text(v: Verdict, uni: Universe, pname: str, qname: str) -> list[str]:
     rel = v.mode.startswith("rel-")
     scope = f" relative to {uni.fmt(v.alphabet)}" if rel else ""
     if v.equivalent:
-        print(f"equivalent ({v.mode}{scope})")
-        return
-    print(f"not equivalent ({v.mode}{scope})")
+        return [f"equivalent ({v.mode}{scope})"]
     w = v.witness
     ctx = render(w.context)
-    print("context:")
-    for line in (ctx.splitlines() if ctx else ["(empty)"]):
-        print(f"  {line}")
     keeper = pname if w.side == "left" else qname
-    print(f"distinguishing: {uni.fmt(w.distinguishing)}")
-    print(f"answer set of {keeper} plus the context only")
+    return [f"not equivalent ({v.mode}{scope})", "context:",
+            *(f"  {line}" for line in (ctx.splitlines() if ctx else ["(empty)"])),
+            f"distinguishing: {uni.fmt(w.distinguishing)}",
+            f"answer set of {keeper} plus the context only"]
 
 
 def _verdict_json(v: Verdict, uni: Universe) -> dict:
     out = {
-        "schema": 1,
         "mode": v.mode,
         "alphabet": list(uni.decode(v.alphabet)),
         "equivalent": v.equivalent,
@@ -185,49 +188,33 @@ def cmd_models(args) -> int:
     else:
         pairs = (ase_models if args.kind == "ase" else aue_models)(p, a, p.var | a)
         models = [(pr.x, pr.y) for pr in pairs]
-    if args.format == "json":
-        print(json.dumps({
-            "schema": 1,
-            "kind": args.kind,
-            "alphabet": list(uni.decode(a)) if relative else None,
-            "models": [[list(uni.decode(i)) for i in m] if isinstance(m, tuple) else list(uni.decode(m))
-                       for m in models],
-        }))
-    else:
-        for m in models:
-            print(uni.fmt_pair(*m) if isinstance(m, tuple) else uni.fmt(m))
+    _report(args, lambda: {
+        "kind": args.kind,
+        "alphabet": list(uni.decode(a)) if relative else None,
+        "models": [[list(uni.decode(i)) for i in m] if isinstance(m, tuple) else list(uni.decode(m))
+                   for m in models],
+    }, (uni.fmt_pair(*m) if isinstance(m, tuple) else uni.fmt(m) for m in models))
     return 0
 
 
 def cmd_shift(args) -> int:
     uni = Universe()
     p = _load(args.p, uni)
-    ordered = canonical_rules(p)
-    if args.rule is not None:
-        if not 1 <= args.rule <= len(ordered):
-            raise ValueError(f"rule index {args.rule} out of range 1..{len(ordered)}")
-        target = ordered[args.rule - 1]
-        shifted = shift_one(p, target)
-    else:
-        target = None
+    rules = canonical_rules(p)
+    if args.rule is None:
         shifted = shift_program(p)
+    elif 1 <= args.rule <= len(rules):
+        rules = [rules[args.rule - 1]]
+        shifted = shift_one(p, rules[0])
+    else:
+        raise ValueError(f"rule index {args.rule} out of range 1..{len(rules)}")
     safe = None
     if args.check_alphabet is not None:
         a = uni.mask_of(_split_atoms(args.check_alphabet))
-        rules = [target] if target is not None else ordered
         safe = all(check_shift_safe(p, r, a) for r in rules if r.head.bit_count() >= 2)
-    if args.format == "json":
-        print(json.dumps({
-            "schema": 1,
-            "program": render(shifted).splitlines(),
-            "safe": safe,
-        }))
-    else:
-        text = render(shifted)
-        if text:
-            print(text)
-        if safe is not None:
-            print("safe" if safe else "unsafe")
+    program = render(shifted).splitlines()
+    _report(args, lambda: {"program": program, "safe": safe},
+            program + ([] if safe is None else ["safe" if safe else "unsafe"]))
     return 0
 
 
@@ -235,18 +222,10 @@ def cmd_sweep(args) -> int:
     failed = False
     for prop in [args.property] if args.property else sorted(PROPERTIES):
         report = exhaustive_sweep(args.atoms, prop, args.max_rules)
-        if args.format == "json":
-            print(json.dumps({
-                "schema": 1,
-                "property": report.prop,
-                "checked": report.checked,
-                "counterexamples": sorted(report.counterexamples),
-            }))
-        else:
-            print(f"{report.prop}: checked {report.checked}, "
-                  f"{len(report.counterexamples)} counterexamples")
-            for c in sorted(report.counterexamples):
-                print(f"  {c}")
+        found = sorted(report.counterexamples)
+        _report(args, lambda: {"property": report.prop, "checked": report.checked, "counterexamples": found},
+                [f"{report.prop}: checked {report.checked}, {len(found)} counterexamples",
+                 *(f"  {c}" for c in found)])
         failed |= not report.ok
     return 1 if failed else 0
 

@@ -15,7 +15,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .semantics import (
     _horn_closure,
@@ -325,16 +325,11 @@ def _horn_direction(first: Program, second: Program, a: int, v: int) -> bool:
             pins, kills = rename(u) | w, rename(v & ~u) | (v & ~w)
             if not any(least_renamed(pins | r.pos, kills | r.head) is not None for r in second.rules):
                 break
-        else:
-            if not _direction_exact_for_u(first, least_second, a, v, u):
+        else:  # no uniform W: check each alphabet part R exactly
+            if any(least_second(r_part, (a & ~r_part) | (v & ~u)) is None
+                   for r_part in submasks(a) if is_model(r_part | u, first)):
                 return False
     return True
-
-
-def _direction_exact_for_u(first: Program, least_second: Callable, a: int, v: int, u: int) -> bool:
-    # `least_second` is `_horn_closure` of the second program
-    return all(least_second(r_part, (a & ~r_part) | (v & ~u)) is not None
-               for r_part in submasks(a) if is_model(r_part | u, first))
 
 
 def brute_force_oracle(p: Program, q: Program, a: int, mode: str) -> Verdict:

@@ -6,7 +6,8 @@ positive and one negative body atom): its programs, their ordered pairs or
 its rules.  The "fast oracle" helpers compute the same verdicts as literal
 context enumeration but factor the work through SE-model sets: a context
 acts on a program only through its SE-models over the alphabet.  The class
-tables (``context_se_classes``, ``unary_classes``) are cached per size.
+tables (``context_se_classes``, ``fact_classes``, ``unary_classes``) are
+cached per size.
 """
 
 from __future__ import annotations
@@ -135,15 +136,27 @@ def context_se_classes(alpha_size: int) -> tuple[frozenset, ...]:
     return tuple(sorted(seen, key=sorted))
 
 
+def _pick_classes(alpha_size: int, limit: int, kind: str, rules_of) -> tuple[frozenset, ...]:
+    # the SE-model set of each subset of `rules_of(over)`, in pick order (bit i = rule i)
+    if alpha_size > limit:
+        raise ValueError(f"{kind}-class enumeration supports at most {limit} alphabet atoms")
+    over = (1 << alpha_size) - 1
+    rules = rules_of(over)
+    return tuple(_se_set([rules[i] for i in bits(pick)], over) for pick in range(1 << len(rules)))
+
+
+@lru_cache(maxsize=None)
+def fact_classes(alpha_size: int) -> tuple[frozenset, ...]:
+    """SE-model sets of the fact programs over an ``alpha_size``-atom
+    alphabet (abstract bit positions), in ascending order of fact masks."""
+    return _pick_classes(alpha_size, 6, "fact", lambda over: [Rule(1 << i, 0, 0) for i in bits(over)])
+
+
 @lru_cache(maxsize=None)
 def unary_classes(alpha_size: int) -> tuple[frozenset, ...]:
     """SE-model sets of the unary programs over an ``alpha_size``-atom alphabet
     (abstract bit positions), one per subset of ``unary_rules`` in pick order."""
-    if alpha_size > 3:
-        raise ValueError("unary-class enumeration supports at most 3 alphabet atoms")
-    over = (1 << alpha_size) - 1
-    rules = unary_rules(over)
-    return tuple(_se_set([rules[i] for i in bits(pick)], over) for pick in range(1 << len(rules)))
+    return _pick_classes(alpha_size, 3, "unary", unary_rules)
 
 
 def sm_from_se(pairs: Iterable[tuple[int, int]]) -> frozenset[int]:
@@ -152,11 +165,6 @@ def sm_from_se(pairs: Iterable[tuple[int, int]]) -> frozenset[int]:
     for x, y in pairs:
         by_y.setdefault(y, set()).add(x)
     return frozenset(y for y, xs in by_y.items() if y in xs and len(xs) == 1)
-
-
-def sm_with_facts(pairs: Iterable[tuple[int, int]], f: int) -> frozenset[int]:
-    """Answer sets of P plus the facts ``f``, from the SE-models of P."""
-    return sm_from_se((x, y) for x, y in pairs if (f & ~x) == 0)
 
 
 def sm_under_classes(pairs: Iterable[tuple[int, int]], a: int, classes: Iterable[frozenset]) -> tuple:
@@ -177,8 +185,7 @@ def sm_under_classes(pairs: Iterable[tuple[int, int]], a: int, classes: Iterable
 
 def uniform_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus F) for every fact set F over the alphabet, in order."""
-    pairs = se_models(p, over)
-    return tuple(sm_with_facts(pairs, f) for f in submasks(a))
+    return sm_under_classes(se_models(p, over), a, fact_classes(a.bit_count()))
 
 
 def strong_signature(p: Program, a: int, over: int) -> tuple:
@@ -318,8 +325,7 @@ def _hierarchy(p, q, dp, dq, uni, over):
 
 
 def _uniform_data(p, uni, over):
-    sig = uniform_signature(p, over, over)
-    return (frozenset(ue_models(p, over)), sig)
+    return frozenset(ue_models(p, over)), uniform_signature(p, over, over)
 
 
 def _uniform_oracle(p, q, dp, dq, uni, over):

@@ -156,63 +156,49 @@ def parse_program(text: str, universe: Optional[Universe] = None) -> Program:
     """Parse program text; see the grammar in the README.
 
     A shared ``universe`` lets two programs be parsed over one atom table
-    (ids are stable and extended in first-occurrence order).
+    (ids are stable and extended in first-occurrence order).  Atoms are
+    interned only once the whole text has parsed, so a ``ParseError``
+    leaves ``universe`` as it was.
     """
+    tokens = [*_tokenize(text), ("end", "", *_end_pos(text))]
+    parsed = []  # per rule, its atoms as (part, name) in text order; part 0 head, 1 pos, 2 neg
+    i = 0
+    while tokens[i][0] != "end":
+        atoms = []
+        if tokens[i][0] == "word":
+            atoms.append((0, _atom_name(tokens[i])))
+            i += 1
+            while tokens[i][0] == "pipe":
+                atoms.append((0, _atom_name(tokens[i + 1])))
+                i += 2
+        more = tokens[i][0] == "arrow"
+        while more:  # tokens[i] is the ":-" or "," before a body literal
+            neg = tokens[i + 1][:2] == ("word", "not")
+            i += 1 + neg
+            atoms.append((1 + neg, _atom_name(tokens[i])))
+            i += 1
+            more = tokens[i][0] == "comma"
+        if tokens[i][0] != "dot":
+            raise ParseError("expected dot", *tokens[i][2:])
+        i += 1
+        parsed.append(atoms)
     uni = universe if universe is not None else Universe()
-    rules: set[Rule] = set()
-    tokens = list(_tokenize(text))
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(kind: str):
-        nonlocal pos
-        tok = peek()
-        if tok is None or tok[0] != kind:
-            where = tok[2:] if tok else _end_pos(text)
-            raise ParseError(f"expected {kind}", *where)
-        pos += 1
-        return tok
-
-    def atom_id() -> int:
-        tok = peek()
-        if tok is None or tok[0] != "word":
-            where = tok[2:] if tok else _end_pos(text)
-            raise ParseError("expected atom", *where)
-        name = tok[1]
-        if name == "not" or not ATOM_RE.fullmatch(name):
-            raise ParseError(f"invalid atom token {name!r}", tok[2], tok[3])
-        nonlocal pos
-        pos += 1
-        return uni.intern(name)
-
-    while peek() is not None:
-        head = 0
-        body_pos = 0
-        body_neg = 0
-        tok = peek()
-        if tok[0] == "word":
-            head |= 1 << atom_id()
-            while peek() and peek()[0] == "pipe":
-                take("pipe")
-                head |= 1 << atom_id()
-        if peek() and peek()[0] == "arrow":
-            take("arrow")
-            while True:
-                tok = peek()
-                if tok and tok[0] == "word" and tok[1] == "not":
-                    take("word")
-                    body_neg |= 1 << atom_id()
-                else:
-                    body_pos |= 1 << atom_id()
-                if peek() and peek()[0] == "comma":
-                    take("comma")
-                else:
-                    break
-        take("dot")
-        rules.add(Rule(head, body_pos, body_neg))
+    rules = set()
+    for atoms in parsed:
+        masks = [0, 0, 0]
+        for part, name in atoms:
+            masks[part] |= 1 << uni.intern(name)
+        rules.add(Rule(*masks))
     return Program(frozenset(rules), uni)
+
+
+def _atom_name(tok) -> str:
+    kind, name, line, col = tok
+    if kind != "word":
+        raise ParseError("expected atom", line, col)
+    if name == "not" or not ATOM_RE.fullmatch(name):
+        raise ParseError(f"invalid atom token {name!r}", line, col)
+    return name
 
 
 def _tokenize(text: str):

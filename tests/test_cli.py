@@ -195,3 +195,39 @@ def test_sweep_rejects_bad_bounds(capsys):
     assert e.value.code == 2
     assert main(["sweep", "--property", "hierarchy", "--max-rules", "-1"]) == 2
     assert "error: max_rules must not be negative" in capsys.readouterr().err
+
+
+def test_golden_stdout_bytes(lp, capsys):
+    # exact stdout of each report: JSON key order ("schema" first) and the
+    # whole text block
+    p = lp("p.lp", "a | b.\n")
+    q = lp("q.lp", "a :- not b. b :- not a.\n")
+    safe = lp("safe.lp", "a | b. :- a, b.\n")
+    empty = lp("empty.lp", "% nothing\n")
+    cases = [
+        (["check", p, q, "--mode", "strong"], 1,
+         "not equivalent (strong)\ncontext:\n  a :- b.\n  b :- a.\ndistinguishing: {a,b}\n"
+         f"answer set of {p} plus the context only\n"),
+        (["check", p, q, "--mode", "strong", "--format", "json"], 1,
+         '{"schema": 1, "mode": "strong", "alphabet": ["a", "b"], "equivalent": false, "method": null, '
+         '"witness": {"context": ["a :- b.", "b :- a."], "distinguishing": ["a", "b"], "side": "left"}}\n'),
+        (["models", p, "--kind", "se"], 0,
+         "({a},{a})\n({b},{b})\n({a},{a,b})\n({b},{a,b})\n({a,b},{a,b})\n"),
+        (["models", p, "--kind", "se", "--format", "json"], 0,
+         '{"schema": 1, "kind": "se", "alphabet": null, "models": [[["a"], ["a"]], [["b"], ["b"]], '
+         '[["a"], ["a", "b"]], [["b"], ["a", "b"]], [["a", "b"], ["a", "b"]]]}\n'),
+        (["shift", safe, "--check-alphabet", "a,b"], 0,
+         ":- a, b.\na :- not b.\nb :- not a.\nsafe\n"),
+        (["shift", safe, "--check-alphabet", "a,b", "--format", "json"], 0,
+         '{"schema": 1, "program": [":- a, b.", "a :- not b.", "b :- not a."], "safe": true}\n'),
+        (["shift", empty], 0, ""),
+        (["shift", empty, "--format", "json"], 0, '{"schema": 1, "program": [], "safe": null}\n'),
+        (["sweep", "--property", "hierarchy", "--atoms", "1"], 0,
+         "hierarchy: checked 1369, 0 counterexamples\n"),
+        (["sweep", "--property", "hierarchy", "--atoms", "1", "--format", "json"], 0,
+         '{"schema": 1, "property": "hierarchy", "checked": 1369, "counterexamples": []}\n'),
+    ]
+    for argv, code, out in cases:
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, ""), argv

@@ -36,12 +36,15 @@ def test_render_parse_round_trip(p):
 @settings(max_examples=300, deadline=None)
 @given(TEXT | st.text(max_size=20))
 def test_random_text_parses_or_raises_parse_error_inside_it(text):
+    uni = Universe(["a", "nota"])
     try:
-        parse_program(text)
+        parse_program(text, uni)
     except ParseError as e:
         lines = text.split("\n")
         assert 1 <= e.line <= len(lines)
         assert 1 <= e.col <= len(lines[e.line - 1]) + 1
+        # a failed parse leaves the shared universe as it was
+        assert uni.names == ["a", "nota"] and uni.index == {"a": 0, "nota": 1}
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,12 @@ from aspeq.harness import (
     _setup,
     context_se_classes,
     exhaustive_sweep,
+    fact_classes,
     family_programs,
     family_rules,
     project,
     random_program,
     sm_from_se,
-    sm_with_facts,
     strong_signature,
     uniform_signature,
     unary_classes,
@@ -84,14 +84,14 @@ def test_sm_from_se_matches_answer_sets():
         assert sm_from_se(pairs) == frozenset(answer_sets(p))
 
 
-def test_sm_with_facts_matches_direct():
+def test_uniform_signature_matches_direct():
+    # one entry per fact set over the alphabet, in ascending mask order
     for seed in range(30):
         p, _, uni, rng = random_pair(seed, atoms=4, max_rules=4)
         over = uni.full_mask
-        pairs = se_models(p, over)
-        f = rng.randint(0, over)
-        direct = frozenset(answer_sets(p | facts_program(f, uni)))
-        assert sm_with_facts(pairs, f) == direct
+        a = rng.randint(0, over)
+        direct = tuple(frozenset(answer_sets(p | facts_program(f, uni))) for f in submasks(a))
+        assert uniform_signature(p, a, over) == direct
 
 
 def test_uniform_signature_equality_is_uniform_equivalence():
@@ -109,6 +109,8 @@ def test_context_se_classes_bounds():
         context_se_classes(3)
     with pytest.raises(ValueError):
         unary_classes(4)
+    with pytest.raises(ValueError):
+        fact_classes(7)
     one = context_se_classes(1)
     two = context_se_classes(2)
     assert [len(context_se_classes(k)) for k in range(3)] == [2, 5, 47]
@@ -118,6 +120,9 @@ def test_context_se_classes_bounds():
     # one class per subset of the k facts and k*k single-body rules
     for k in range(3):
         assert len(unary_classes(k)) == 2 ** (k + k * k)
+    # one class per fact set, and distinct fact sets give distinct classes
+    for k in range(4):
+        assert len(set(fact_classes(k))) == 2 ** k
     uni, over, progs = _setup(2, 2)
     for p in progs:
         assert _se_set(p.rules, over) == frozenset(se_models(p, over)), p.rules

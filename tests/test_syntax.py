@@ -68,6 +68,12 @@ def test_parse_errors_carry_position():
         parse_program("a b.")
     with pytest.raises(ParseError):
         parse_program("a ; b.")
+    # a failed parse interns none of the atoms it read before the error
+    uni = Universe(["z"])
+    with pytest.raises(ParseError) as e:
+        parse_program("a :- b, c. d :- ", uni)
+    assert str(e.value) == "1:17: expected atom"
+    assert uni.names == ["z"] and uni.index == {"z": 0}
 
 
 def test_var_of():
