@@ -2,25 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .syntax import Program
+from .syntax import Program, _Record
 from .transforms import is_hcf
 
 
-@dataclass(frozen=True)
-class ProgramClass:
-    horn: bool
-    definite: bool
-    unary: bool
-    normal: bool
-    positive: bool
-    hcf: bool
-    disjunctive: bool
+class ProgramClass(_Record):
+    __slots__ = ("horn", "definite", "unary", "normal", "positive", "hcf", "disjunctive")
+
+    def __init__(self, horn: bool, definite: bool, unary: bool, normal: bool, positive: bool, hcf: bool, disjunctive: bool):
+        self._init(horn, definite, unary, normal, positive, hcf, disjunctive)
 
     @property
     def flags(self) -> frozenset[str]:
-        return frozenset(n for n in ("horn", "definite", "unary", "normal", "positive", "hcf", "disjunctive") if getattr(self, n))
+        return frozenset(n for n in self.__slots__ if getattr(self, n))
 
 
 def classify(p: Program) -> ProgramClass:

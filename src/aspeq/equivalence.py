@@ -14,7 +14,6 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .semantics import (
@@ -29,7 +28,7 @@ from .semantics import (
     submasks,
 )
 from .relativized import ASEPair
-from .syntax import Program, Rule, bits, facts_program
+from .syntax import Program, Rule, _Record, bits, facts_program
 
 MODES = ("ordinary", "strong", "uniform", "rel-strong", "rel-uniform")
 METHODS = ("auto", "generic", "horn")
@@ -40,31 +39,31 @@ class VerificationError(Exception):
     answer-set test on both sides."""
 
 
-@dataclass(frozen=True)
-class Witness:
-    context: Program
-    distinguishing: int
-    side: str  # "left" or "right": which input keeps `distinguishing`
+class Witness(_Record):
+    __slots__ = ("context", "distinguishing", "side")
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
+    # side is "left" or "right": which input keeps `distinguishing`
+    def __init__(self, context: Program, distinguishing: int, side: str):
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        self._init(context, distinguishing, side)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    equivalent: bool
-    mode: str
-    alphabet: int
-    witness: Optional[Witness]
-    # route taken by a relativized or Horn decider; None for the others
-    method: Optional[str] = field(default=None, compare=False)
+class Verdict(_Record):
+    """Equality and hash leave out ``method``, the route taken by a
+    relativized or Horn decider (None for the others)."""
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.equivalent == (self.witness is not None):
+    __slots__ = ("equivalent", "mode", "alphabet", "witness", "method")
+
+    def __init__(self, equivalent: bool, mode: str, alphabet: int, witness: Optional[Witness], method: Optional[str] = None):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if equivalent == (witness is not None):
             raise ValueError("witness must be present exactly on failure")
+        self._init(equivalent, mode, alphabet, witness, method)
+
+    def _key(self) -> tuple:
+        return (self.equivalent, self.mode, self.alphabet, self.witness)
 
 
 def _check_witness(p: Program, q: Program, w: Witness) -> None:

@@ -13,7 +13,6 @@ cached per size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from random import Random
 from typing import Callable, Collection, Iterable, Optional
@@ -23,24 +22,21 @@ from .equivalence import unary_rules
 from .relativized import a_minimal_models, ase_models, aue_models
 from .se import se_models, ue_models
 from .semantics import answer_sets, satisfies, submasks
-from .syntax import Program, Rule, Universe, bits
+from .syntax import Program, Rule, Universe, _Record, bits
 from .transforms import s_r, shift_rule
 
 ATOM_NAMES = "abcdefgh"
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    atom_count: int
-    rule_count: int
-    seed: int
-    require: frozenset[str] = frozenset()
+class GeneratorConfig(_Record):
+    __slots__ = ("atom_count", "rule_count", "seed", "require")
 
-    def __post_init__(self):
-        if not 1 <= self.atom_count <= 8:
+    def __init__(self, atom_count: int, rule_count: int, seed: int, require: frozenset[str] = frozenset()):
+        if not 1 <= atom_count <= 8:
             raise ValueError("atom_count must be within 1..8")
-        if not 0 <= self.rule_count <= 12:
+        if not 0 <= rule_count <= 12:
             raise ValueError("rule_count must be within 0..12")
+        self._init(atom_count, rule_count, seed, require)
 
 
 def random_program(cfg: GeneratorConfig, universe: Optional[Universe] = None) -> Program:
@@ -202,11 +198,16 @@ def unary_signature(p: Program, a: int, over: int) -> tuple:
 # sweeps
 
 
-@dataclass
-class SweepReport:
-    prop: str
-    checked: int
-    counterexamples: list[str] = field(default_factory=list)
+class SweepReport(_Record):
+    """The one mutable record: a sweep fills it in as it runs."""
+
+    __slots__ = ("prop", "checked", "counterexamples")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, prop: str, checked: int, counterexamples: Optional[list[str]] = None):
+        self._init(prop, checked, [] if counterexamples is None else counterexamples)
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,6 @@ single pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .semantics import (
@@ -24,21 +23,19 @@ from .semantics import (
     reduct,
     submasks,
 )
-from .syntax import Program, Rule, bits
+from .syntax import Program, Rule, _Record, bits
 from .transforms import is_hcf, shift_program
 
 
-@dataclass(frozen=True)
-class ASEPair:
+class ASEPair(_Record):
     """Pair (x, y) relative to alphabet ``a``; x == y or x ⊂ (y ∩ a)."""
 
-    x: int
-    y: int
-    a: int
+    __slots__ = ("x", "y", "a")
 
-    def __post_init__(self):
-        if not valid_shape(self.x, self.y, self.a):
+    def __init__(self, x: int, y: int, a: int):
+        if not valid_shape(x, y, a):
             raise ValueError("pair must satisfy x = y or x ⊂ (y ∩ a)")
+        self._init(x, y, a)
 
     @property
     def total(self) -> bool:
@@ -58,7 +55,7 @@ def is_ase_model(p: Program, pair: ASEPair) -> bool:
     if not is_model(y, p):
         return False
     red = reduct(p, y)
-    if not _y_is_a_minimal_for_reduct(red, y, a):
+    if not _y_is_a_minimal_for_reduct(red.rules, y, a):
         return False
     if x == y:
         return True
@@ -85,7 +82,7 @@ def aue_models(p: Program, a: int, over: Optional[int] = None) -> list[ASEPair]:
 def a_minimal_models(p: Program, a: int, over: Optional[int] = None) -> list[int]:
     """Classical models with no strictly smaller model agreeing on ``a``."""
     models = classical_models(p, over if over is not None else (p.var | a))
-    return [y for y in models if _y_is_a_minimal_for_reduct(p, y, a)]
+    return [y for y in models if _y_is_a_minimal_for_reduct(p.rules, y, a)]
 
 
 def ase_check_normal(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool:

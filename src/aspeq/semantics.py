@@ -13,7 +13,7 @@ the first Y that differs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import Program, Rule, Universe, bits
 
@@ -110,10 +110,10 @@ def answer_sets(p: Program) -> list[int]:
     return [y for y in submasks(var) if is_answer_set(y, p)]
 
 
-def _y_is_a_minimal_for_reduct(red: Program, y: int, a: int) -> bool:
-    # no y' strictly below y agreeing with y on `a` models the reduct
+def _y_is_a_minimal_for_reduct(red: Iterable[Rule], y: int, a: int) -> bool:
+    # no y' strictly below y agreeing with y on `a` satisfies every rule of `red`
     fixed = y & a
-    return not any(is_model(fixed | t, red) for t in proper_submasks(y & ~a))
+    return not any(all(satisfies(fixed | t, r) for r in red) for t in proper_submasks(y & ~a))
 
 
 def _row(p: Program, a: int, y: int) -> list[int]:
@@ -127,7 +127,8 @@ def _row(p: Program, a: int, y: int) -> list[int]:
     """
     if not is_model(y, p):
         return []
-    red = reduct(p, y)
+    # every x ⊆ y misses these rules' negative bodies: `satisfies` reads the reduct
+    red = [r for r in p.rules if not (r.neg & y)]
     if not _y_is_a_minimal_for_reduct(red, y, a):
         return []
     ya = y & a
@@ -137,7 +138,7 @@ def _row(p: Program, a: int, y: int) -> list[int]:
         if x == ya:  # the last submask; y closes the row below
             break
         for t in ext:
-            if is_model(x | t, red):
+            if all(satisfies(x | t, r) for r in red):
                 row.append(x)
                 break
     row.append(y)

@@ -9,7 +9,6 @@ to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
@@ -37,10 +36,50 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Atom:
-    id: int
-    name: str
+class _Record:
+    """Behaviour shared by the package's records.  A record names its
+    fields in order in ``__slots__`` and sets them with ``_init``; equality
+    and hash read the tuple ``_key()`` (every field unless a record
+    overrides it); pickle and copies rebuild a record through its
+    constructor.  Records are frozen unless they restore ``__setattr__``
+    and ``__delattr__``."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _init(self, *values) -> None:
+        for f, v in zip(self.__slots__, values):
+            object.__setattr__(self, f, v)
+
+
+class Atom(_Record):
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: int, name: str):
+        self._init(id, name)
 
 
 class Universe:
@@ -99,17 +138,28 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     """A rule head ; pos_body ; neg_body, each a bit mask over the universe.
 
     An empty head makes the rule a constraint; empty head and empty body is
     the always-violated constraint (falsity).
     """
 
-    head: int
-    pos: int
-    neg: int
+    __slots__ = ("head", "pos", "neg")
+
+    # written out, not inherited: rules are built, hashed and compared in the enumeration loops
+    def __init__(self, head: int, pos: int, neg: int):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.head == other.head and self.pos == other.pos and self.neg == other.neg
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.pos, self.neg))
 
     @property
     def is_constraint(self) -> bool:
@@ -120,10 +170,16 @@ class Rule:
         return self.head | self.pos | self.neg
 
 
-@dataclass(frozen=True)
-class Program:
-    rules: frozenset[Rule]
-    universe: Universe = field(compare=False)
+class Program(_Record):
+    """Rules over a ``Universe``; equality and hash read the rules only."""
+
+    __slots__ = ("rules", "universe")
+
+    def __init__(self, rules: frozenset[Rule], universe: Universe):
+        self._init(rules, universe)
+
+    def _key(self) -> tuple:
+        return (self.rules,)
 
     @property
     def var(self) -> int:

@@ -66,7 +66,7 @@ def aue_direct(p: Program, a: int, over: int) -> list[ASEPair]:
         if not is_model(y, p):
             continue
         red = reduct(p, y)
-        if _y_is_a_minimal_for_reduct(red, y, a):
+        if _y_is_a_minimal_for_reduct(red.rules, y, a):
             out.append(ASEPair(y, y, a))
         ya = y & a
         for x in submasks(ya):
@@ -111,7 +111,7 @@ def strong_witness_reference(p: Program, q: Program, a: int) -> Witness:
             if not is_model(y, first):
                 continue
             red_first = reduct(first, y)
-            if not _y_is_a_minimal_for_reduct(red_first, y, a):
+            if not _y_is_a_minimal_for_reduct(red_first.rules, y, a):
                 continue
             contexts = []
             if not is_model(y, second):

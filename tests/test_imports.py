@@ -1,10 +1,15 @@
 """Every import in the package sits at module level: a function-level
-import is how an import cycle gets hidden, so none may come back.  And
-every function the traced benchmark run wraps by name still exists."""
+import is how an import cycle gets hidden, so none may come back.  The
+CLI's imports stay light: no ``dataclasses``, which would pull in
+``inspect`` and the compiler modules on every start-up.  And every
+function the traced benchmark run wraps by name still exists."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import aspeq
@@ -22,6 +27,14 @@ def test_no_import_below_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
                 nested.append(f"{path.name}:{node.lineno}")
     assert not nested, f"imports below module level: {', '.join(nested)}"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # a fresh interpreter without site-packages, so only aspeq's own imports count
+    probe = "import sys, aspeq.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_traced_layer_names_resolve():
