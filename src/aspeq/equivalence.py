@@ -1,7 +1,9 @@
 """Equivalence deciders, counterexample witnesses, Horn special cases.
 
-``decide`` serves all five modes; ``decide_ordinary``, ``decide_rel_*``
-and ``se.decide_strong``/``decide_uniform`` are wrappers of it.
+``decide`` serves all five modes as rows of relativized equivalence:
+ordinary at A = ∅, strong and uniform at A = var(p ∪ q).
+``decide_ordinary``, ``decide_rel_*`` and ``se.decide_strong``/
+``decide_uniform`` are wrappers of it.
 
 A ``Verdict`` carries the mode, the alphabet actually used (always
 intersected with the atoms of the two programs), and — exactly when the
@@ -83,11 +85,12 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     """Decide equivalence of ``p`` and ``q`` in ``mode``, one of ``MODES``.
 
     Every mode is a row of relativized equivalence over A.  "ordinary" is
-    the fact-context search at A = ∅: the answer sets coincide, and two
-    inconsistent programs compare equal.  "strong" and "uniform" are the
-    "rel-strong" and "rel-uniform" rows at A = var(p ∪ q), always
-    enumerated; ``a`` is ignored for these three.  The relativized rows
-    use ``a & var(p ∪ q)`` (default: every atom) and ``method``: "generic"
+    the "rel-strong" row at A = ∅, where the row at Y is [Y] for an answer
+    set Y and empty otherwise: two inconsistent programs compare equal, and
+    the witness has the empty context.  "strong" and "uniform" are the
+    "rel-strong" and "rel-uniform" rows at A = var(p ∪ q).  These three
+    are always enumerated and ignore ``a``.  The relativized rows use
+    ``a & var(p ∪ q)`` (default: every atom) and ``method``: "generic"
     compares the two programs' A-SE-models (A-UE-models for rel-uniform)
     one Y at a time and stops at the first Y where they differ, where the
     strong kinds' witness is built;
@@ -100,9 +103,6 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-    if mode == "ordinary":
-        w = _fact_witness(p, q, 0)
-        return Verdict(w is None, mode, 0, w)
     over = p.var | q.var
     route = None
     if mode.startswith("rel-"):
@@ -111,8 +111,8 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
         if route == "horn":
             return decide_horn_rel(p, q, a, mode)
     else:
-        a = over
-    strong = mode.endswith("strong")
+        a = 0 if mode == "ordinary" else over
+    strong = not mode.endswith("uniform")
     y = _first_difference(p, q, a, over, _row if strong else _maximal_row)
     if y is None:
         return Verdict(True, mode, a, None, route)
@@ -164,15 +164,6 @@ def _first_witness(p: Program, q: Program, contexts: Iterable[Program]) -> Optio
     return None
 
 
-def _fact_witness(p: Program, q: Program, a: int) -> Optional[Witness]:
-    """The re-verified witness at the smallest fact set over ``a`` on which
-    the answer sets differ, or None when every fact set agrees."""
-    w = _first_witness(p, q, (facts_program(f, p.universe) for f in _fact_contexts(a)))
-    if w is not None:
-        _check_witness(p, q, w)
-    return w
-
-
 def _route(p: Program, q: Program, a: int, method: str) -> str:
     if method == "auto":
         return "horn" if is_horn(p) and is_horn(q) and a.bit_count() <= 20 else "generic"
@@ -200,24 +191,25 @@ def _pairs_by_check(a: int, over: int, member) -> list[ASEPair]:
 def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
     """Unary context separating two rel-strong-inequivalent programs.
 
-    Built at the least interpretation Y where the A-SE-models of the two
-    programs over var(p ∪ q) ∪ a differ, the same search ``decide`` runs.
-    In either argument order, the first program's row at Y is not empty
-    (Y models it with no smaller model agreeing on the alphabet), and Y
-    either fails the second program (context = facts of Y ∩ a) or admits
-    an X ≠ Y below Y modelling the second program's reduct whose part
-    X ∩ a is not in that row, so no X' = (X ∩ a) ∪ T, T ⊆ Y \\ a, X' ≠ Y,
-    models the first program's reduct (context = facts of X ∩ a plus all
-    unary rules between distinct atoms of (Y \\ X) ∩ a).  The A-minimality
-    of Y and the condition on X make Y an answer set of the first program
-    plus the context and not of the second, which ``_check_witness``
-    re-verifies.  Raises ``AssertionError`` when the listings agree.
+    The witness of ``decide(p, q, "rel-strong", a, "generic")``, built at
+    the least interpretation Y where the A-SE-models of the two programs
+    over var(p ∪ q) differ; an alphabet atom outside var(p ∪ q) would not
+    change that Y or the context.  In either argument order, the first
+    program's row at Y is not empty (Y models it with no smaller model
+    agreeing on the alphabet), and Y either fails the second program
+    (context = facts of Y ∩ a) or admits an X ≠ Y below Y modelling the
+    second program's reduct whose part X ∩ a is not in that row, so no
+    X' = (X ∩ a) ∪ T, T ⊆ Y \\ a, X' ≠ Y, models the first program's reduct
+    (context = facts of X ∩ a plus all unary rules between distinct atoms
+    of (Y \\ X) ∩ a).  The A-minimality of Y and the condition on X make Y
+    an answer set of the first program plus the context and not of the
+    second, which ``_check_witness`` re-verifies.  Raises
+    ``AssertionError`` when the listings agree.
     """
-    _shared(p, q)
-    y = _first_difference(p, q, a, p.var | q.var | a, _row)
-    if y is None:
+    w = decide(p, q, "rel-strong", a, "generic").witness
+    if w is None:
         raise AssertionError("no witness found; programs appear strongly equivalent")
-    return _strong_witness(p, q, a, y)
+    return w
 
 
 def _strong_witness(p: Program, q: Program, a: int, y: int) -> Witness:
@@ -247,9 +239,10 @@ def build_uniform_witness(p: Program, q: Program, a: int) -> Witness:
     """Smallest fact set over ``a`` on which the answer sets differ."""
     _shared(p, q)
     check_capacity(a)
-    w = _fact_witness(p, q, a)
+    w = _first_witness(p, q, (facts_program(f, p.universe) for f in _fact_contexts(a)))
     if w is None:
         raise AssertionError("no witness found; programs appear uniformly equivalent")
+    _check_witness(p, q, w)
     return w
 
 

@@ -5,9 +5,10 @@ check, over a bounded rule family (heads up to two atoms, at most one
 positive and one negative body atom): its programs, their ordered pairs or
 its rules.  The "fast oracle" helpers compute the same verdicts as literal
 context enumeration but factor the work through SE-model sets: a context
-acts on a program only through its SE-models over the alphabet.  The class
-tables (``context_se_classes``, ``fact_classes``, ``unary_classes``) are
-cached per size.
+acts on a program only through its SE-models over the alphabet.  They read
+those SE-models by definition (``_se_set``), not through the rows that
+``decide`` compares.  The class tables (``context_se_classes``,
+``fact_classes``, ``unary_classes``) are cached per size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .classify import classify
 from .equivalence import unary_rules
 from .relativized import a_minimal_models, ase_models, aue_models
 from .se import se_models, ue_models
-from .semantics import answer_sets, satisfies, submasks
+from .semantics import answer_sets, check_capacity, satisfies, submasks
 from .syntax import Program, Rule, Universe, _Record, bits
 from .transforms import s_r, shift_rule
 
@@ -179,19 +180,27 @@ def sm_under_classes(pairs: Iterable[tuple[int, int]], a: int, classes: Iterable
                  for cls in classes)
 
 
+def _program_se(p: Program, over: int) -> frozenset[tuple[int, int]]:
+    # `_se_set` of p, with the checks of `se_models`
+    if p.var & ~over:
+        raise ValueError("`over` must cover var(p)")
+    check_capacity(over)
+    return _se_set(p.rules, over)
+
+
 def uniform_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus F) for every fact set F over the alphabet, in order."""
-    return sm_under_classes(se_models(p, over), a, fact_classes(a.bit_count()))
+    return sm_under_classes(_program_se(p, over), a, fact_classes(a.bit_count()))
 
 
 def strong_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus R) for one representative R of every context class."""
-    return sm_under_classes(se_models(p, over), a, context_se_classes(a.bit_count()))
+    return sm_under_classes(_program_se(p, over), a, context_se_classes(a.bit_count()))
 
 
 def unary_signature(p: Program, a: int, over: int) -> tuple:
     """SM(P plus U) for every unary program U over the alphabet."""
-    return sm_under_classes(se_models(p, over), a, unary_classes(a.bit_count()))
+    return sm_under_classes(_program_se(p, over), a, unary_classes(a.bit_count()))
 
 
 # ---------------------------------------------------------------------------

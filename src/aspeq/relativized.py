@@ -23,7 +23,7 @@ from .semantics import (
     reduct,
     submasks,
 )
-from .syntax import Program, Rule, _Record, bits
+from .syntax import Program, _Record, bits
 from .transforms import is_hcf, shift_program
 
 
@@ -128,13 +128,3 @@ def aue_check_hcf(p: Program, pair: ASEPair, over: Optional[int] = None) -> bool
     if any(horn_least_model(red, x | 1 << i, over & ~y) not in (None, y) for i in bits(a & ~x)):
         return False
     return horn_satisfiable(red, x, (over & ~y) | (a & ~x))
-
-
-def ase_consequence(p: Program, r: Rule, a: int) -> bool:
-    """Relativized SE-consequence: every A-SE-model of p is one of {r}."""
-    single = Program(frozenset([r]), p.universe)
-    over = p.var | r.atoms | a
-    for pr in ase_models(p, a, over):
-        if not is_ase_model(single, pr):
-            return False
-    return True

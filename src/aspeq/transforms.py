@@ -49,33 +49,28 @@ def s_r(r: Rule, over: int) -> list[tuple[int, int]]:
     return out
 
 
-def _head_cycle_free(p: Program, clique: int = 0) -> bool:
-    """No two head atoms of one rule reach each other along the positive
-    dependency edges body->head, plus a clique over ``clique``.  The
-    reachability masks are Warshall's closure over the bit masks."""
-    reach = {i: 0 for i in bits(p.var | clique)}
-    for r in p.rules:
-        for b in bits(r.pos):
-            reach[b] |= r.head & ~(1 << b)
-    for i in bits(clique):
-        reach[i] |= clique & ~(1 << i)
-    for k in reach:
-        for i, m in reach.items():
-            if (m >> k) & 1:
-                reach[i] = m | reach[k]
-    return not any((reach[a] >> b) & 1 and (reach[b] >> a) & 1
-                   for r in p.rules for a, b in combinations(bits(r.head), 2))
-
-
 def is_hcf(p: Program) -> bool:
     """No positive-dependency cycle through two head atoms of one rule."""
-    return _head_cycle_free(p)
+    return is_a_hcf(p, 0)
 
 
 def is_a_hcf(p: Program, a: int) -> bool:
     """Head-cycle freeness on the dependency graph augmented with a clique
-    over the alphabet ``a``."""
-    return _head_cycle_free(p, a)
+    over the alphabet ``a``: no two head atoms of one rule reach each other
+    along the positive edges body->head or the clique's edges.  The
+    reachability masks are Warshall's closure over the bit masks."""
+    reach = {i: 0 for i in bits(p.var | a)}
+    for r in p.rules:
+        for b in bits(r.pos):
+            reach[b] |= r.head & ~(1 << b)
+    for i in bits(a):
+        reach[i] |= a & ~(1 << i)
+    for k in reach:
+        for i, m in reach.items():
+            if (m >> k) & 1:
+                reach[i] = m | reach[k]
+    return not any((reach[u] >> v) & 1 and (reach[v] >> u) & 1
+                   for r in p.rules for u, v in combinations(bits(r.head), 2))
 
 
 def check_shift_safe(p: Program, r: Rule, a: int) -> bool:

@@ -241,6 +241,7 @@ def test_criterion_09_degenerate_alphabets():
         p, q, uni, rng = random_pair(seed, atoms=4, max_rules=4)
         over = uni.full_mask
         ordinary = decide_ordinary(p, q).equivalent
+        assert brute_force_oracle(p, q, 0, "ordinary").equivalent == ordinary
         assert decide_rel_strong(p, q, 0, method="generic").equivalent == ordinary
         assert decide_rel_uniform(p, q, 0, method="generic").equivalent == ordinary
         single = 1 << rng.randrange(4)

@@ -289,6 +289,18 @@ def test_brute_force_oracle_modes():
         brute_force_oracle(p, q, uni.mask_of(["a", "b"]) | (1 << uni.intern("c")) | (1 << uni.intern("d")), "strong")
 
 
+def test_ordinary_row_search_matches_the_empty_context_scan():
+    # `decide` reads ordinary equivalence off the rel-strong rows at A = ∅;
+    # the oracle scans the answer sets with no context at all
+    _, _, progs = _setup(2, 2)
+    found = 0
+    for p, q in islice(product(progs, progs), 0, None, 23):
+        v = decide(p, q, "ordinary")
+        assert v == brute_force_oracle(p, q, 0, "ordinary"), (p.rules, q.rules)
+        found += v.witness is not None
+    assert found > 10000
+
+
 def test_unary_rules_count():
     uni = Universe(["a", "b", "c"])
     a = uni.full_mask

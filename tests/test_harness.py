@@ -21,7 +21,7 @@ from aspeq.harness import (
     unary_signature,
 )
 from aspeq.se import se_models
-from aspeq.semantics import answer_sets, submasks
+from aspeq.semantics import CapacityError, answer_sets, submasks
 from aspeq.syntax import Program, Rule, Universe, facts_program
 
 from conftest import prog, random_pair
@@ -102,6 +102,18 @@ def test_uniform_signature_equality_is_uniform_equivalence():
         over = uni.full_mask
         same = uniform_signature(p, over, over) == uniform_signature(q, over, over)
         assert same == decide_uniform(p, q).equivalent
+
+
+def test_signatures_check_over_like_se_models():
+    # the signatures read SE-models by definition, with the checks of `se_models`
+    uni = Universe(["a", "b"])
+    p = prog("a :- b.", uni)
+    for signature in (uniform_signature, strong_signature, unary_signature):
+        with pytest.raises(ValueError):
+            signature(p, 1, 1)
+    big = Universe([f"v{i}" for i in range(25)])
+    with pytest.raises(CapacityError):
+        uniform_signature(Program(frozenset(), big), 0, big.full_mask)
 
 
 def test_context_se_classes_bounds():

@@ -4,7 +4,6 @@ from aspeq.relativized import (
     ASEPair,
     a_minimal_models,
     ase_check_normal,
-    ase_consequence,
     ase_models,
     aue_check_hcf,
     aue_models,
@@ -150,13 +149,6 @@ def test_aue_check_hcf_examples_and_agreement():
         a = rng.randint(0, over)
         accepted = _pairs_by_check(a, over, lambda pr: aue_check_hcf(p, pr, over))
         assert set(accepted) == set(aue_models(p, a, over)), seed
-
-
-def test_ase_consequence_own_rules():
-    uni = Universe()
-    p = prog("a | b. c :- a.", uni)
-    for r in p.rules:
-        assert ase_consequence(p, r, uni.full_mask)
 
 
 def test_aue_models_match_direct_characterization_exhaustive():
