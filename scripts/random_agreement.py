@@ -4,6 +4,9 @@
 For each seeded random pair the script compares:
 
 * decide_uniform / decide_rel_uniform against fact-set enumeration,
+* decide_strong against the SE-models by definition and decide_uniform
+  against the fact-set signature on near pairs, where Q is P with one rule
+  dropped, added or weakened (independent random pairs rarely share rules),
 * decide_rel_strong against the unary-context signature (alphabets of at
   most two atoms),
 * the Horn deciders against the generic enumerator on Horn pairs,
@@ -30,11 +33,11 @@ from aspeq.equivalence import (
     decide_rel_strong,
     decide_rel_uniform,
 )
-from aspeq.harness import GeneratorConfig, random_program, unary_signature
+from aspeq.harness import GeneratorConfig, _program_se, random_program, uniform_signature, unary_signature
 from aspeq.relativized import ASEPair, ase_check_normal, ase_models, aue_check_hcf, aue_models
-from aspeq.se import decide_uniform
+from aspeq.se import decide_strong, decide_uniform
 from aspeq.semantics import submasks
-from aspeq.syntax import Universe
+from aspeq.syntax import Program, Rule, Universe
 from aspeq.transforms import check_shift_safe, shift_one
 
 ATOM_NAMES = "abcdefgh"
@@ -49,6 +52,22 @@ def make_pair(seed: int, atoms: int, max_rules: int, require=()):
         GeneratorConfig(atoms, rng.randint(0, max_rules), seed + 900001, req), uni
     )
     return p, q, uni, rng
+
+
+def near_program(p: Program, q: Program, rng: random.Random, atoms: int) -> Program:
+    """P with one rule dropped, one of Q's rules added, or one rule weakened
+    by an extra head atom or body literal."""
+    rules = sorted(p.rules, key=lambda r: (r.head, r.pos, r.neg))
+    change = rng.randrange(3)
+    if change == 0 and rules:
+        rules.pop(rng.randrange(len(rules)))
+    elif change == 1 and q.rules:
+        rules.append(rng.choice(sorted(q.rules, key=lambda r: (r.head, r.pos, r.neg))))
+    elif rules:
+        r, b = rng.choice(rules), 1 << rng.randrange(atoms)
+        rules.append(rng.choice([Rule(r.head | b, r.pos, r.neg), Rule(r.head, r.pos | b, r.neg),
+                                 Rule(r.head, r.pos, r.neg | b)]))
+    return Program(frozenset(rules), p.universe)
 
 
 def candidate_pairs(a: int, over: int):
@@ -86,6 +105,15 @@ def main(argv=None) -> int:
             if uniform != decide_uniform(p, q).equivalent:
                 disagreements += 1
                 print(f"full-alphabet uniform disagreement at seed {seed}")
+
+        nq = near_program(p, q, random.Random(f"near {seed}"), args.atoms)
+        checks += 2
+        if decide_strong(p, nq).equivalent != (_program_se(p, over) == _program_se(nq, over)):
+            disagreements += 1
+            print(f"near-pair strong disagreement at seed {seed}")
+        if decide_uniform(p, nq).equivalent != (uniform_signature(p, over, over) == uniform_signature(nq, over, over)):
+            disagreements += 1
+            print(f"near-pair uniform disagreement at seed {seed}")
 
         small = rng.choice([m for m in submasks(over) if m.bit_count() <= 2])
         checks += 1

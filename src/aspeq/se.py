@@ -5,15 +5,16 @@ An SE-pair is an ordered pair of interpretation masks ``(x, y)`` with
 listed row by row (``semantics._row``), and UE-models the maximal rows
 (``semantics._maximal_row``); the listings are sorted by ``(y, x)``, and
 ``over`` must cover var(p).  ``decide`` compares the rows of two programs
-and stops at the first differing Y.
+up to the first differing Y, and SE-/UE-consequence of a rule r asks
+whether adding r changes them.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .equivalence import Verdict, decide
-from .semantics import _ase_pairs, _maximal_row, is_model, reduct
+from .equivalence import Verdict, _first_difference, decide
+from .semantics import _ase_pairs, _maximal_row, _row, is_model, reduct
 from .syntax import Program, Rule
 
 SEPair = tuple[int, int]
@@ -41,17 +42,15 @@ def ue_models(p: Program, over: Optional[int] = None) -> list[SEPair]:
 
 
 def se_consequence(p: Program, r: Rule) -> bool:
-    """Every SE-model of ``p`` is an SE-model of {r}."""
-    single = Program(frozenset([r]), p.universe)
+    """Every SE-model of ``p`` is an SE-model of {r}: adding ``r`` keeps them."""
     over = p.var | r.atoms
-    return all(is_se_model(single, x, y) for x, y in se_models(p, over))
+    return _first_difference(p, p | Program(frozenset([r]), p.universe), over, over, _row) is None
 
 
 def ue_consequence(p: Program, r: Rule) -> bool:
-    """Every UE-model of ``p`` is an SE-model of {r}."""
-    single = Program(frozenset([r]), p.universe)
+    """Every UE-model of ``p`` is an SE-model of {r}: adding ``r`` keeps them."""
     over = p.var | r.atoms
-    return all(is_se_model(single, x, y) for x, y in ue_models(p, over))
+    return _first_difference(p, p | Program(frozenset([r]), p.universe), over, over, _maximal_row) is None
 
 
 def ue_class_check(p: Program) -> bool:

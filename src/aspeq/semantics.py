@@ -7,8 +7,9 @@ answer-set question of one interpretation, and its callers check the cap.
 A row lists the X of the A-SE-models (X, Y) of a program at one Y, as the
 models are defined: Y is an A-minimal model of the reduct and the X are
 alphabet parts below it.  The listings join the rows of every Y in
-ascending order, and the deciders compare two programs row by row up to
-the first Y that differs.
+ascending order.  The deciders compare two programs' rows up to the first
+Y that differs; at the full alphabet they read only the Ys and Xs that a
+rule the programs do not share can tell apart.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _row(p: Program, a: int, y: int) -> list[int]:
     if not _y_is_a_minimal_for_reduct(red, y, a):
         return []
     ya = y & a
-    ext = list(submasks(y & ~a))
+    ext = list(submasks(y & ~a)) if ya else []  # at y ∩ a = ∅ the row is [y]
     row = []
     for x in submasks(ya):
         if x == ya:  # the last submask; y closes the row below

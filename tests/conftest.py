@@ -6,6 +6,7 @@ import pytest
 from aspeq.equivalence import Witness
 from aspeq.harness import GeneratorConfig, random_program
 from aspeq.relativized import ASEPair
+from aspeq.se import is_se_model, se_models, ue_models
 from aspeq.semantics import _y_is_a_minimal_for_reduct, answer_sets, is_model, proper_submasks, reduct, submasks
 from aspeq.syntax import Program, Rule, Universe, bits, facts_program, parse_program
 
@@ -132,3 +133,25 @@ def strong_witness_reference(p: Program, q: Program, a: int) -> Witness:
                 if y in answer_sets(first | ctx) and y not in answer_sets(second | ctx):
                     return Witness(ctx, y, side)
     raise AssertionError("no witness found; programs appear strongly equivalent")
+
+
+def row_search(p: Program, q: Program, a: int, over: int, row) -> Optional[int]:
+    """The least Y over ``over`` at which ``row`` differs between ``p`` and
+    ``q``, from both programs' rows at every Y.  A reference for
+    ``_first_difference``, which reads only the Ys and Xs that a rule the
+    programs do not share can tell apart."""
+    return next((y for y in submasks(over) if row(p, a, y) != row(q, a, y)), None)
+
+
+def se_consequence_listing(p: Program, r: Rule) -> bool:
+    """Every listed SE-model of ``p`` is an SE-model of {r}; an oracle for
+    ``se_consequence``."""
+    single = Program(frozenset([r]), p.universe)
+    return all(is_se_model(single, x, y) for x, y in se_models(p, p.var | r.atoms))
+
+
+def ue_consequence_listing(p: Program, r: Rule) -> bool:
+    """Every listed UE-model of ``p`` is an SE-model of {r}; an oracle for
+    ``ue_consequence``."""
+    single = Program(frozenset([r]), p.universe)
+    return all(is_se_model(single, x, y) for x, y in ue_models(p, p.var | r.atoms))

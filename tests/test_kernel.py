@@ -1,18 +1,21 @@
 """The per-Y rows under the SE-, UE-, A-SE- and A-UE-model listings,
-checked against the per-pair definitions on the exhaustive families."""
+checked against the per-pair definitions on the exhaustive families, and
+the full-alphabet search for the first differing row against the plain
+row search."""
 
-from itertools import islice, product
+import random
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 
-from aspeq.equivalence import _first_difference
+from aspeq.equivalence import _first_difference, decide
 from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.relativized import ASEPair, ase_models, aue_models, is_ase_model, valid_shape
 from aspeq.se import is_se_model, se_models, ue_models
 from aspeq.semantics import CapacityError, _ase_pairs, _maximal_row, _row, submasks
-from aspeq.syntax import Universe, facts_program
+from aspeq.syntax import Program, Rule, Universe, facts_program
 
-from conftest import prog
+from conftest import prog, random_pair, row_search
 
 # the exhaustive sweeps' families: 2 atoms with up to two rules, 3 atoms
 # with up to one
@@ -93,3 +96,90 @@ def test_pair_kernel_checks_its_arguments_at_the_call():
     big = Universe([f"v{i}" for i in range(25)])
     with pytest.raises(CapacityError):
         _ase_pairs(facts_program(big.full_mask, big), big.full_mask, big.full_mask)
+
+
+@pytest.mark.parametrize("atoms,max_rules", FAMILIES)
+def test_full_alphabet_search_matches_the_row_search_on_the_families(atoms, max_rules):
+    # every unordered pair (the search is symmetric in p and q), both rows;
+    # the reference's rows are listed once per program
+    over, progs = _family(atoms, max_rules)
+    rows = [[(tuple(_row(p, over, y)), tuple(_maximal_row(p, over, y))) for y in submasks(over)] for p in progs]
+    ys = list(submasks(over))
+    for i, j in combinations_with_replacement(range(len(progs)), 2):
+        for kind, row in enumerate((_row, _maximal_row)):
+            expect = next((y for y, rp, rq in zip(ys, rows[i], rows[j]) if rp[kind] != rq[kind]), None)
+            assert _first_difference(progs[i], progs[j], over, over, row) == expect, (progs[i].rules, progs[j].rules, kind)
+
+
+def _random_rule(rng: random.Random, n: int) -> Rule:
+    # biased towards the special shapes: facts, constraints, tautologies
+    # (head ∩ pos ≠ ∅) and rules whose body is inconsistent (pos ∩ neg ≠ ∅)
+    def mask(p: float) -> int:
+        return sum(1 << i for i in range(n) if rng.random() < p)
+
+    head, pos, neg = mask(0.25), mask(0.2), mask(0.15)
+    shape = rng.randrange(8)
+    if shape == 0:
+        head = 0
+    elif shape == 1:
+        pos = neg = 0
+    elif shape == 2:
+        head |= 1 << rng.randrange(n)
+        pos |= head & -head
+    elif shape == 3:
+        pos |= 1 << rng.randrange(n)
+        neg |= pos & -pos
+    return Rule(head, pos, neg)
+
+
+def _near_pair(rng: random.Random, n: int) -> tuple[Program, Program]:
+    # Q is P with one or two rules dropped, added or weakened
+    uni = Universe([f"v{i}" for i in range(n)])
+    rules = [_random_rule(rng, n) for _ in range(rng.randint(1, n + 3))]
+    q = list(rules)
+    for _ in range(rng.randint(1, 2)):
+        change = rng.randrange(3)
+        if change == 0 and len(q) > 1:
+            q.pop(rng.randrange(len(q)))
+        elif change == 1:
+            q.append(_random_rule(rng, n))
+        else:
+            r, b = rng.choice(q), 1 << rng.randrange(n)
+            q.append(rng.choice([Rule(r.head | b, r.pos, r.neg), Rule(r.head, r.pos | b, r.neg), Rule(r.head, r.pos, r.neg | b)]))
+    return Program(frozenset(rules), uni), Program(frozenset(q), uni)
+
+
+def _split(p: Program, a: int) -> Program:
+    # each rule r becomes r with the extra body literal `a` and r with `not a`
+    rules = {Rule(r.head, r.pos | a, r.neg) for r in p.rules} | {Rule(r.head, r.pos, r.neg | a) for r in p.rules}
+    return Program(frozenset(rules), p.universe)
+
+
+def _check_against_row_search(p: Program, q: Program) -> None:
+    over = p.var | q.var
+    for row in (_row, _maximal_row):
+        assert _first_difference(p, q, over, over, row) == row_search(p, q, over, over, row), (p.rules, q.rules, row.__name__)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_alphabet_search_matches_the_row_search_on_near_pairs(seed):
+    rng = random.Random(seed)
+    for i in range(60):
+        _check_against_row_search(*_near_pair(rng, 5 + i % 5))
+
+
+def test_full_alphabet_search_matches_the_row_search_on_pairs_sharing_no_rule():
+    for seed in range(150):
+        p, q, uni, _ = random_pair(seed, atoms=5, max_rules=6)
+        _check_against_row_search(p, Program(q.rules - p.rules, uni))
+        # an atom outside p, so that no split rule is one of p's
+        _check_against_row_search(p, _split(p, 1 << uni.intern("z")))
+
+
+@pytest.mark.parametrize("mode", ["strong", "uniform"])
+def test_equal_programs_over_the_cap_raise(mode):
+    # the capacity check comes before the search notices that p = q
+    big = Universe([f"v{i}" for i in range(25)])
+    p = facts_program(big.full_mask, big)
+    with pytest.raises(CapacityError):
+        decide(p, p, mode)

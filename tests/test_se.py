@@ -14,7 +14,7 @@ from aspeq.se import (
 from aspeq.semantics import answer_sets
 from aspeq.syntax import Program, Rule, Universe, parse_program, render
 
-from conftest import fmt_pairs, pair, prog
+from conftest import fmt_pairs, pair, prog, random_pair, se_consequence_listing, ue_consequence_listing
 
 
 def test_is_se_model_examples():
@@ -90,6 +90,19 @@ def test_consequence_examples():
     for r in q.rules:
         assert se_consequence(q, r)
         assert ue_consequence(q, r)
+
+
+def test_consequence_matches_the_listing_oracles():
+    # every rule over three atoms against random programs over four, so
+    # that some rules add atoms to the programs
+    for seed in range(8):
+        p, _, _, _ = random_pair(seed, atoms=4, max_rules=5)
+        for h in range(8):
+            for b in range(8):
+                for n in range(8):
+                    r = Rule(h, b, n)
+                    assert se_consequence(p, r) == se_consequence_listing(p, r), (p.rules, r)
+                    assert ue_consequence(p, r) == ue_consequence_listing(p, r), (p.rules, r)
 
 
 def test_ue_class_check():
