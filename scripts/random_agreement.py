@@ -7,12 +7,16 @@ For each seeded random pair the script compares:
 * decide_strong against the SE-models by definition and decide_uniform
   against the fact-set signature on near pairs, where Q is P with one rule
   dropped, added or weakened (independent random pairs rarely share rules),
+  and where Q is P with one disjunctive rule shifted, which often makes
+  them uniformly but not strongly equivalent,
 * decide_rel_strong against the unary-context signature (alphabets of at
   most two atoms),
 * the Horn deciders against the generic enumerator on Horn pairs,
 * ase_check_normal / aue_check_hcf against ase_models / aue_models on
   every candidate pair of a random normal / head-cycle-free program,
-* check_shift_safe against deciding equivalence of the shifted program.
+* check_shift_safe against the SE-models by definition at the full
+  alphabet and against the unary-context signature at alphabets of at most
+  two atoms; neither runs the row search that check_shift_safe asks.
 
 Example::
 
@@ -106,14 +110,18 @@ def main(argv=None) -> int:
                 disagreements += 1
                 print(f"full-alphabet uniform disagreement at seed {seed}")
 
-        nq = near_program(p, q, random.Random(f"near {seed}"), args.atoms)
-        checks += 2
-        if decide_strong(p, nq).equivalent != (_program_se(p, over) == _program_se(nq, over)):
-            disagreements += 1
-            print(f"near-pair strong disagreement at seed {seed}")
-        if decide_uniform(p, nq).equivalent != (uniform_signature(p, over, over) == uniform_signature(nq, over, over)):
-            disagreements += 1
-            print(f"near-pair uniform disagreement at seed {seed}")
+        near = [near_program(p, q, random.Random(f"near {seed}"), args.atoms)]
+        disjunctive = sorted((r for r in p.rules if r.head.bit_count() >= 2), key=lambda r: (r.head, r.pos, r.neg))
+        if disjunctive:
+            near.append(shift_one(p, random.Random(f"shift {seed}").choice(disjunctive)))
+        for nq in near:
+            checks += 2
+            if decide_strong(p, nq).equivalent != (_program_se(p, over) == _program_se(nq, over)):
+                disagreements += 1
+                print(f"near-pair strong disagreement at seed {seed}")
+            if decide_uniform(p, nq).equivalent != (uniform_signature(p, over, over) == uniform_signature(nq, over, over)):
+                disagreements += 1
+                print(f"near-pair uniform disagreement at seed {seed}")
 
         small = rng.choice([m for m in submasks(over) if m.bit_count() <= 2])
         checks += 1
@@ -142,15 +150,19 @@ def main(argv=None) -> int:
                 print(f"{check.__name__} disagreement at seed {seed}, alphabet {muni.fmt(ma)}")
 
         sp, _, suni, srng = make_pair(seed, args.atoms, args.max_rules)
-        sa = srng.randint(0, suni.full_mask)
+        sover = suni.full_mask
+        small = srng.choice([m for m in submasks(sover) if m.bit_count() <= 2])
         for r in sp.rules:
             if r.head.bit_count() < 2:
                 continue
-            checks += 1
-            safe = check_shift_safe(sp, r, sa)
-            if safe != decide_rel_strong(sp, shift_one(sp, r), sa, method="generic").equivalent:
+            shifted = shift_one(sp, r)
+            checks += 2
+            if check_shift_safe(sp, r, sover) != (_program_se(sp, sover) == _program_se(shifted, sover)):
                 disagreements += 1
-                print(f"shift-safety disagreement at seed {seed}")
+                print(f"full-alphabet shift-safety disagreement at seed {seed}")
+            if check_shift_safe(sp, r, small) != (unary_signature(sp, small, sover) == unary_signature(shifted, small, sover)):
+                disagreements += 1
+                print(f"shift-safety disagreement at seed {seed}, alphabet {suni.fmt(small)}")
 
     elapsed = time.perf_counter() - start
     print(f"{checks} checks over {args.pairs} seeds in {elapsed:.1f}s, "

@@ -1,7 +1,8 @@
 """Equivalence deciders, counterexample witnesses, Horn special cases.
 
 ``decide`` serves all five modes as rows of relativized equivalence:
-ordinary at A = ∅, strong and uniform at A = var(p ∪ q).
+ordinary at A = ∅, strong and uniform at A = var(p ∪ q), each compared
+by the row search ``semantics._first_difference``.
 ``decide_ordinary``, ``decide_rel_*`` and ``se.decide_strong``/
 ``decide_uniform`` are wrappers of it.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .semantics import (
+    _first_difference,
     _horn_closure,
     _maximal_row,
     _row,
@@ -26,7 +28,6 @@ from .semantics import (
     is_answer_set,
     is_horn,
     is_model,
-    proper_submasks,
     reduct,
     submasks,
 )
@@ -119,46 +120,6 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
         return Verdict(True, mode, a, None, route)
     w = _strong_witness(p, q, a, y) if strong else build_uniform_witness(p, q, a)
     return Verdict(False, mode, a, w, route)
-
-
-def _first_difference(p: Program, q: Program, a: int, over: int, row) -> Optional[int]:
-    """The least Y over ``over`` at which ``row`` (``_row`` for the
-    A-SE-models, ``_maximal_row`` for the A-UE-models) differs between
-    ``p`` and ``q``, or None when every row agrees.
-
-    At an ``a`` covering ``over`` only the rules that the programs do not
-    share tell the rows apart (SE(P) = SE(P ∩ Q) ∩ SE(P \\ Q), Turner 2003):
-    an X ⊊ Y on one side only fails such a rule whose body Y satisfies, so
-    it lies in the rule's cube, its positive body plus atoms of Y off the
-    rule.  The maximal rows differ iff such an X is maximal on its side.
-    """
-    check_capacity(over)
-    if over & ~a:
-        return next((y for y in submasks(over) if row(p, a, y) != row(q, a, y)), None)
-    shared = p.rules & q.rules
-    # a rule whose body meets its head holds in every SE-model
-    own = [[r for r in s.rules - shared if not r.pos & r.head] for s in (p, q)]
-    for y in submasks(over):
-        held = [all(r.pos & ~y or r.neg & y or r.head & y for r in rules) for rules in (shared, *own)]
-        if held[0] and held[1] != held[2]:
-            return y
-        if not (held[0] and held[1]):
-            continue
-        # a rule whose body fails at Y holds at every X ⊆ Y
-        red, *live = ([(r.pos, r.head) for r in rules if not (r.pos & ~y or r.neg & y)] for rules in (shared, *own))
-        cubes = [(b, y & ~(b | h)) for b, h in live[0] + live[1]]
-        if sum(1 << free.bit_count() for _, free in cubes) > 1 << y.bit_count():
-            cubes = [(0, y)]  # every X ⊆ Y once
-        for x in (base | t for base, free in cubes for t in submasks(free)):
-            if not all(b & ~x or h & x for b, h in red):
-                continue
-            sat = [all(b & ~x or h & x for b, h in rules) for rules in live]
-            if sat[0] != sat[1]:
-                kept = red + live[sat.index(True)]
-                if row is _row or not any(u and all(b & ~(x | u) or h & (x | u) for b, h in kept)
-                                          for u in proper_submasks(y & ~x)):
-                    return y
-    return None
 
 
 def decide_ordinary(p: Program, q: Program) -> Verdict:

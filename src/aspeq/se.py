@@ -5,16 +5,16 @@ An SE-pair is an ordered pair of interpretation masks ``(x, y)`` with
 listed row by row (``semantics._row``), and UE-models the maximal rows
 (``semantics._maximal_row``); the listings are sorted by ``(y, x)``, and
 ``over`` must cover var(p).  ``decide`` compares the rows of two programs
-up to the first differing Y, and SE-/UE-consequence of a rule r asks
-whether adding r changes them.
+up to the first differing Y (``semantics._first_difference``), and
+SE-/UE-consequence of a rule r asks it whether adding r changes them.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .equivalence import Verdict, _first_difference, decide
-from .semantics import _ase_pairs, _maximal_row, _row, is_model, reduct
+from .equivalence import Verdict, decide
+from .semantics import _ase_pairs, _first_difference, _maximal_row, _row, is_model, reduct
 from .syntax import Program, Rule
 
 SEPair = tuple[int, int]

@@ -7,9 +7,10 @@ answer-set question of one interpretation, and its callers check the cap.
 A row lists the X of the A-SE-models (X, Y) of a program at one Y, as the
 models are defined: Y is an A-minimal model of the reduct and the X are
 alphabet parts below it.  The listings join the rows of every Y in
-ascending order.  The deciders compare two programs' rows up to the first
-Y that differs; at the full alphabet they read only the Ys and Xs that a
-rule the programs do not share can tell apart.
+ascending order.  ``_first_difference``, the one row search, finds the
+first Y at which two programs' rows differ; at the full alphabet it reads
+only the Ys and Xs that a rule the programs do not share can tell apart.
+``decide``, SE-/UE-consequence and ``check_shift_safe`` all ask it.
 """
 
 from __future__ import annotations
@@ -152,6 +153,46 @@ def _maximal_row(p: Program, a: int, y: int) -> list[int]:
     row = _row(p, a, y)
     # a strict superset of x sorts after it; the last entry is y
     return [x for i, x in enumerate(row[:-1]) if not any(not x & ~x2 for x2 in row[i + 1:-1])] + row[-1:]
+
+
+def _first_difference(p: Program, q: Program, a: int, over: int, row) -> Optional[int]:
+    """The least Y over ``over`` at which ``row`` (``_row`` for the
+    A-SE-models, ``_maximal_row`` for the A-UE-models) differs between
+    ``p`` and ``q``, or None when every row agrees.
+
+    At an ``a`` covering ``over`` only the rules that the programs do not
+    share tell the rows apart (SE(P) = SE(P ∩ Q) ∩ SE(P \\ Q), Turner 2003):
+    an X ⊊ Y on one side only fails such a rule whose body Y satisfies, so
+    it lies in the rule's cube, its positive body plus atoms of Y off the
+    rule.  The maximal rows differ iff such an X is maximal on its side.
+    """
+    check_capacity(over)
+    if over & ~a:
+        return next((y for y in submasks(over) if row(p, a, y) != row(q, a, y)), None)
+    shared = p.rules & q.rules
+    # a rule whose body meets its head holds in every SE-model
+    own = [[r for r in s.rules - shared if not r.pos & r.head] for s in (p, q)]
+    for y in submasks(over):
+        held = [all(r.pos & ~y or r.neg & y or r.head & y for r in rules) for rules in (shared, *own)]
+        if held[0] and held[1] != held[2]:
+            return y
+        if not (held[0] and held[1]):
+            continue
+        # a rule whose body fails at Y holds at every X ⊆ Y
+        red, *live = ([(r.pos, r.head) for r in rules if not (r.pos & ~y or r.neg & y)] for rules in (shared, *own))
+        cubes = [(b, y & ~(b | h)) for b, h in live[0] + live[1]]
+        if sum(1 << free.bit_count() for _, free in cubes) > 1 << y.bit_count():
+            cubes = [(0, y)]  # every X ⊆ Y once
+        for x in (base | t for base, free in cubes for t in submasks(free)):
+            if not all(b & ~x or h & x for b, h in red):
+                continue
+            sat = [all(b & ~x or h & x for b, h in rules) for rules in live]
+            if sat[0] != sat[1]:
+                kept = red + live[sat.index(True)]
+                if row is _row or not any(u and all(b & ~(x | u) or h & (x | u) for b, h in kept)
+                                          for u in proper_submasks(y & ~x)):
+                    return y
+    return None
 
 
 def _ase_pairs(p: Program, a: int, over: int, row=_row) -> list[tuple[int, int]]:

@@ -4,7 +4,9 @@ The shift of a rule turns ``a | b :- body`` into one normal rule per head
 atom, moving the remaining head atoms into the negative body.  For
 head-cycle-free programs the shift preserves (relativized) uniform
 equivalence; ``check_shift_safe`` decides when it also preserves
-relativized strong equivalence.
+relativized strong equivalence, by asking the row search of
+``semantics`` whether the shift changes any A-SE row.  ``s_r`` lists the
+SE-pairs that shifting one rule gains.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .semantics import _ase_pairs, check_capacity, submasks
+from .semantics import _first_difference, _row, check_capacity, submasks
 from .syntax import ATOM_RE, Program, Rule, bits
 
 
@@ -76,23 +78,14 @@ def is_a_hcf(p: Program, a: int) -> bool:
 def check_shift_safe(p: Program, r: Rule, a: int) -> bool:
     """Does shifting ``r`` preserve strong equivalence relative to ``a``?
 
-    True iff every SE-model of the shifted program that lies in the gained
-    set and whose total part survives the alphabet-minimality test against
-    the original program has an alternative non-total witness with the same
-    alphabet part.  Gained pairs whose Y already has a strictly smaller
-    SE-companion agreeing with it on the alphabet are skipped: such a Y
-    contributes relativized SE-models to neither program, so those pairs
-    cannot create a difference.
+    True iff ``p`` and ``shift_one(p, r)`` have the same A-SE-models, asked
+    of the row search that ``decide`` runs (``semantics._first_difference``).
+    Raises ``ValueError`` when ``r`` is not a rule of ``p`` and
+    ``CapacityError`` when var(p) ∪ ``a`` exceeds the cap.
     """
-    if r not in p.rules:
-        raise ValueError("rule is not part of the program")
-    over = p.var | a
-    gained = set(s_r(r, over))
-    # no gained pair is an SE-model of p (its x violates r's reduct), so an
-    # alternative is any non-total SE-model of p at the same y and alphabet part
-    parts = {(y, x & a) for x, y in _ase_pairs(p, over, over) if x != y}
-    return all((y, y & a) in parts or (y, x & a) in parts
-               for x, y in _ase_pairs(shift_one(p, r), over, over) if (x, y) in gained)
+    shifted = shift_one(p, r)
+    check_capacity(p.var | a)
+    return _first_difference(p, shifted, a & p.var, p.var, _row) is None
 
 
 def _fresh_atom(p: Program, w: Optional[str]) -> str:

@@ -9,6 +9,7 @@ from aspeq.relativized import ASEPair
 from aspeq.se import is_se_model, se_models, ue_models
 from aspeq.semantics import _y_is_a_minimal_for_reduct, answer_sets, is_model, proper_submasks, reduct, submasks
 from aspeq.syntax import Program, Rule, Universe, bits, facts_program, parse_program
+from aspeq.transforms import s_r, shift_one
 
 
 # one "[acceptance] criterion N: PASS/FAIL" line per criterion, emitted
@@ -155,3 +156,23 @@ def ue_consequence_listing(p: Program, r: Rule) -> bool:
     ``ue_consequence``."""
     single = Program(frozenset([r]), p.universe)
     return all(is_se_model(single, x, y) for x, y in ue_models(p, p.var | r.atoms))
+
+
+def shift_safe_listing(p: Program, r: Rule, a: int) -> bool:
+    """Does shifting ``r`` preserve strong equivalence relative to ``a``,
+    from both programs' SE-models and the gained set S_r; an oracle for
+    ``check_shift_safe``, which asks the row search.
+
+    True iff every SE-model of the shifted program that lies in the gained
+    set has a non-total SE-model of ``p`` with the same Y and alphabet part,
+    or ``p`` has a non-total SE-model at Y agreeing with Y on the alphabet.
+    No gained pair is an SE-model of ``p`` (its X violates r's reduct).  A
+    gained pair whose Y has a strictly smaller SE-companion agreeing with it
+    on the alphabet contributes relativized SE-models to neither program,
+    so it cannot create a difference.
+    """
+    over = p.var | a
+    gained = set(s_r(r, over))
+    parts = {(y, x & a) for x, y in se_models(p, over) if x != y}
+    return all((y, y & a) in parts or (y, x & a) in parts
+               for x, y in se_models(shift_one(p, r), over) if (x, y) in gained)

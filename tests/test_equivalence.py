@@ -27,7 +27,7 @@ from aspeq.equivalence import (
     decide_rel_uniform,
     unary_rules,
 )
-from aspeq.harness import ATOM_NAMES, _setup, family_programs
+from aspeq.harness import ATOM_NAMES, _program_se, _setup, family_programs, uniform_signature
 from aspeq.relativized import ase_models, aue_models
 from aspeq.semantics import CapacityError, answer_sets, is_horn, submasks
 from aspeq.syntax import Program, Rule, Universe, bits, facts_program
@@ -166,15 +166,24 @@ def test_unknown_method_is_rejected():
 
 
 def test_strong_and_uniform_are_full_alphabet_rows():
-    # same verdict and witness as the relativized row at A = var(p ∪ q);
-    # the non-relativized modes take no route, whatever `method` says
+    # at A = var(p ∪ q): the verdicts against the SE-models by definition
+    # and the fact-set signature, the witnesses against the reference
+    # searches; the non-relativized modes take no route, whatever `method`
+    # says
     for seed in range(40):
         p, q, uni, _ = random_pair(seed, atoms=3, max_rules=4)
-        for mode in ("strong", "uniform"):
-            row = decide(p, q, "rel-" + mode, uni.full_mask, "generic")
+        over, ab = uni.full_mask, p.var | q.var
+        facts = [facts_program(f, uni) for f in _fact_contexts(ab)]
+        expect = {
+            "strong": (_program_se(p, over) == _program_se(q, over), lambda: strong_witness_reference(p, q, ab)),
+            "uniform": (uniform_signature(p, ab, over) == uniform_signature(q, ab, over),
+                        lambda: first_witness_two_lists(p, q, facts)),
+        }
+        for mode, (equivalent, witness) in expect.items():
+            w = None if equivalent else witness()
             for method in METHODS:
                 v = decide(p, q, mode, method=method)
-                assert (v.equivalent, v.alphabet, v.witness) == (row.equivalent, row.alphabet, row.witness)
+                assert (v.equivalent, v.alphabet, v.witness) == (equivalent, ab, w), (seed, mode)
                 assert v.mode == mode and v.method is None
         for method in METHODS:
             assert decide(p, q, "ordinary", method=method).method is None
@@ -239,6 +248,22 @@ def test_decide_horn_rel_example():
     assert decide_horn_rel(p, prog("g :- v. :- v, vb.", uni), a).equivalent
     with pytest.raises(ValueError):
         decide_horn_rel(prog("a | b.", uni), p, a)
+
+
+def test_horn_deciders_check_their_input_before_enumerating():
+    # a 21-atom Horn chain: every guard fires before any loop runs
+    uni = Universe([f"x{i}" for i in range(21)])
+    p = Program(frozenset(Rule(1 << (i + 1), 1 << i, 0) for i in range(20)), uni)
+    q = prog(":- x0.", uni)
+    full = uni.full_mask
+    with pytest.raises(ValueError, match="^alphabet too large for fact-set enumeration$"):
+        decide_horn_rel(p, q, full)
+    with pytest.raises(ValueError, match="^both programs must be Horn$"):
+        decide_horn_bounded(p, prog("x0 | x1.", uni), full)
+    with pytest.raises(ValueError, match="^too many atoms outside the alphabet$"):
+        decide_horn_bounded(p, q, 0)
+    with pytest.raises(ValueError, match="^alphabet too large$"):
+        decide_horn_bounded(p, q, full)
 
 
 def test_decide_horn_bounded_agrees_with_enumeration():

@@ -131,6 +131,21 @@ def test_ase_check_normal_agrees_with_definition():
         assert set(accepted) == set(ase_models(p, a, over)), seed
 
 
+def test_default_over_is_the_program_atoms_and_the_alphabet():
+    # the listings default to var(p) ∪ a and the membership checks to
+    # var(p) ∪ a ∪ y; an alphabet atom outside var(p) widens both
+    for seed in range(30):
+        p, _, uni, rng = random_pair(seed, atoms=4, max_rules=3, require=["normal"])
+        a = rng.randint(0, uni.full_mask)
+        over = p.var | a
+        listed = ase_models(p, a)
+        assert listed == ase_models(p, a, over), seed
+        assert set(_pairs_by_check(a, over, lambda pr: ase_check_normal(p, pr))) == set(listed), seed
+        listed = aue_models(p, a)
+        assert listed == aue_models(p, a, over), seed
+        assert set(_pairs_by_check(a, over, lambda pr: aue_check_hcf(p, pr))) == set(listed), seed
+
+
 def test_aue_check_hcf_rejects_head_cycles():
     uni = Universe(["a", "b"])
     p = prog("a | b. a :- b. b :- a.", uni)

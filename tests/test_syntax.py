@@ -1,6 +1,7 @@
 import pytest
 
 from aspeq.syntax import (
+    Atom,
     ParseError,
     Program,
     Rule,
@@ -120,6 +121,13 @@ def test_fmt_and_decode():
     assert uni.fmt(uni.full_mask) == "{a,b}"
     assert uni.fmt_pair(0, uni.full_mask) == "({},{a,b})"
     assert uni.decode(uni.full_mask) == ("a", "b")
+
+
+def test_universe_atom():
+    uni = Universe(["b", "a"])
+    assert uni.atom(1) == Atom(1, "a")
+    with pytest.raises(IndexError):
+        uni.atom(2)
 
 
 def test_bits_ascending():

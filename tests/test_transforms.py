@@ -1,12 +1,12 @@
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from aspeq.equivalence import decide_ordinary, decide_rel_strong
 from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.se import decide_strong, decide_uniform, se_models
-from aspeq.semantics import submasks
+from aspeq.semantics import CapacityError, submasks
 from aspeq.syntax import Program, Rule, Universe, bits, parse_program, render
 from aspeq.transforms import (
     check_shift_safe,
@@ -20,7 +20,7 @@ from aspeq.transforms import (
     shift_rule,
 )
 
-from conftest import prog, random_pair
+from conftest import prog, random_pair, shift_safe_listing
 
 
 def test_shift_rule():
@@ -142,18 +142,44 @@ def test_check_shift_safe_examples():
     assert not check_shift_safe(bare, r, uni.full_mask)
     with pytest.raises(ValueError):
         check_shift_safe(bare, Rule(0, 0, 0), 0)
+    # a rule not in p is reported before the cap; the alphabet alone can
+    # take var(p) ∪ a past the cap
+    with pytest.raises(ValueError):
+        check_shift_safe(bare, Rule(0, 0, 0), (1 << 30) - 1)
+    with pytest.raises(CapacityError):
+        check_shift_safe(bare, r, (1 << 25) - 1)
+    assert not check_shift_safe(bare, r, (1 << 24) - 1)
+
+
+@pytest.mark.parametrize("atoms,max_rules,stride", [(2, 2, 1), (3, 1, 1), (3, 2, 13)])
+def test_check_shift_safe_matches_the_gained_pair_listing(atoms, max_rules, stride):
+    # every disjunctive rule of every family program (every stride-th
+    # program-rule case), under every alphabet
+    uni = Universe(ATOM_NAMES[:atoms])
+    cases = [(p, r) for p in family_programs(uni, uni.full_mask, max_rules)
+             for r in sorted(p.rules, key=lambda r: (r.head, r.pos, r.neg)) if r.head.bit_count() >= 2]
+    unsafe = 0
+    for p, r in islice(cases, 0, None, stride):
+        for a in submasks(uni.full_mask):
+            safe = check_shift_safe(p, r, a)
+            assert safe == shift_safe_listing(p, r, a), (p.rules, r, a)
+            unsafe += not safe
+    assert unsafe
 
 
 def test_a_hcf_implies_shift_safe_and_matches_decider():
+    # the gained-pair characterization against the decider, and the
+    # shipped check on the same inputs
     for seed in range(40):
         p, _, uni, rng = random_pair(seed, atoms=4, max_rules=4)
         a = rng.randint(0, uni.full_mask)
         for r in p.rules:
             if r.head.bit_count() < 2:
                 continue
-            safe = check_shift_safe(p, r, a)
+            safe = shift_safe_listing(p, r, a)
             v = decide_rel_strong(p, shift_one(p, r), a, method="generic")
             assert safe == v.equivalent
+            assert check_shift_safe(p, r, a) == safe
             if is_a_hcf(p, a):
                 assert safe
 
@@ -169,6 +195,18 @@ def test_eliminate_constraints_negation():
     assert eliminate_constraints_negation(clean)[0].rules == clean.rules
     with pytest.raises(ValueError):
         eliminate_constraints_negation(prog("w.", Universe(["w"])), "w")
+
+
+def test_fresh_atom_numbers_past_taken_names_and_checks_given_ones():
+    uni = Universe(["a", "w", "w1"])
+    p = prog(":- a.", uni)
+    rewritten, alphabet = eliminate_constraints_negation(p)
+    w2 = uni.mask_of(["w2"])
+    assert rewritten.rules == {Rule(w2, uni.mask_of(["a"]), w2)}
+    assert alphabet == uni.full_mask & ~w2
+    for rewrite in (eliminate_constraints_negation, eliminate_constraints_positive):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            rewrite(p, "1w")
 
 
 def test_eliminate_constraints_negation_preserves_rel_strong():
