@@ -16,7 +16,8 @@ For each seeded random pair the script compares:
   every candidate pair of a random normal / head-cycle-free program,
 * check_shift_safe against the SE-models by definition at the full
   alphabet and against the unary-context signature at alphabets of at most
-  two atoms; neither runs the row search that check_shift_safe asks.
+  two atoms, on programs drawn from a seed stream of their own; neither
+  runs the row search that check_shift_safe asks.
 
 Example::
 
@@ -149,7 +150,8 @@ def main(argv=None) -> int:
                 disagreements += 1
                 print(f"{check.__name__} disagreement at seed {seed}, alphabet {muni.fmt(ma)}")
 
-        sp, _, suni, srng = make_pair(seed, args.atoms, args.max_rules)
+        # a second sample: make_pair draws P from `seed` and Q from seed + 900001
+        sp, _, suni, srng = make_pair(seed + 1800002, args.atoms, args.max_rules)
         sover = suni.full_mask
         small = srng.choice([m for m in submasks(sover) if m.bit_count() <= 2])
         for r in sp.rules:

@@ -9,7 +9,7 @@ models are defined: Y is an A-minimal model of the reduct and the X are
 alphabet parts below it.  The listings join the rows of every Y in
 ascending order.  ``_first_difference``, the one row search, finds the
 first Y at which two programs' rows differ; at the full alphabet it reads
-only the Ys and Xs that a rule the programs do not share can tell apart.
+the Xs ⊆ Y at once, as truth tables (one bit per X) of the unshared rules.
 ``decide``, SE-/UE-consequence and ``check_shift_safe`` all ask it.
 """
 
@@ -161,17 +161,19 @@ def _first_difference(p: Program, q: Program, a: int, over: int, row) -> Optiona
     ``p`` and ``q``, or None when every row agrees.
 
     At an ``a`` covering ``over`` only the rules that the programs do not
-    share tell the rows apart (SE(P) = SE(P ∩ Q) ∩ SE(P \\ Q), Turner 2003):
-    an X ⊊ Y on one side only fails such a rule whose body Y satisfies, so
-    it lies in the rule's cube, its positive body plus atoms of Y off the
-    rule.  The maximal rows differ iff such an X is maximal on its side.
+    share tell the rows apart (SE(P) = SE(P ∩ Q) ∩ SE(P \\ Q), Turner 2003).
+    At a Y modelling both, tables with one bit per X ⊆ Y hold F, the Xs
+    failing a live shared rule, and F_s, those failing a live unshared rule
+    of side s.  The rows differ iff ``(F_p ^ F_q) & ~F`` is not 0, and the
+    maximal rows iff some X of ``S_s & F_other`` has no strict superset in
+    S_s = ~F & ~F_s below Y.
     """
     check_capacity(over)
     if over & ~a:
         return next((y for y in submasks(over) if row(p, a, y) != row(q, a, y)), None)
-    shared = p.rules & q.rules
     # a rule whose body meets its head holds in every SE-model
-    own = [[r for r in s.rules - shared if not r.pos & r.head] for s in (p, q)]
+    shared, *own = ([r for r in rs if not r.pos & r.head] for rs in (p.rules & q.rules, p.rules - q.rules, q.rules - p.rules))
+    coord: list[int] = []  # coord[j]: the Xs holding atom j, for the largest Y so far
     for y in submasks(over):
         held = [all(r.pos & ~y or r.neg & y or r.head & y for r in rules) for rules in (shared, *own)]
         if held[0] and held[1] != held[2]:
@@ -179,20 +181,47 @@ def _first_difference(p: Program, q: Program, a: int, over: int, row) -> Optiona
         if not (held[0] and held[1]):
             continue
         # a rule whose body fails at Y holds at every X ⊆ Y
-        red, *live = ([(r.pos, r.head) for r in rules if not (r.pos & ~y or r.neg & y)] for rules in (shared, *own))
-        cubes = [(b, y & ~(b | h)) for b, h in live[0] + live[1]]
-        if sum(1 << free.bit_count() for _, free in cubes) > 1 << y.bit_count():
-            cubes = [(0, y)]  # every X ⊆ Y once
-        for x in (base | t for base, free in cubes for t in submasks(free)):
-            if not all(b & ~x or h & x for b, h in red):
-                continue
-            sat = [all(b & ~x or h & x for b, h in rules) for rules in live]
-            if sat[0] != sat[1]:
-                kept = red + live[sat.index(True)]
-                if row is _row or not any(u and all(b & ~(x | u) or h & (x | u) for b, h in kept)
-                                          for u in proper_submasks(y & ~x)):
-                    return y
+        red, *live = ([(r.pos, r.head & y) for r in rules if not (r.pos & ~y or r.neg & y)] for rules in (shared, *own))
+        if not (live[0] or live[1]):
+            continue
+        m = y.bit_count()
+        while len(coord) < m:  # one more coordinate doubles every table
+            w = 1 << len(coord)
+            coord = [e | e << w for e in coord] + [((1 << w) - 1) << w]
+        full = (1 << (1 << m)) - 1
+        tables = [e & full for e in coord[:m]]
+        at = dict(zip(bits(y), tables))
+        f, f_p, f_q = (_failing(rules, at, full) for rules in (red, *live))
+        if row is _row:
+            if (f_p ^ f_q) & ~f:
+                return y
+        elif any(s & other & ~_strict_down(s, tables)  # full >> 1: every X but Y, the top bit
+                 for s, other in ((full >> 1 & ~(f | f_p), f_q), (full >> 1 & ~(f | f_q), f_p))):
+            return y
     return None
+
+
+def _failing(rules: list[tuple[int, int]], at: dict[int, int], full: int) -> int:
+    """The OR of the cubes of ``rules``, pairs of a positive body and a disjoint
+    head ∩ Y: the AND of ``at`` over the body and of ``~at`` over the head."""
+    f = 0
+    for b, h in rules:
+        t = full
+        for i in bits(b | h):
+            t &= at[i] if b >> i & 1 else ~at[i]
+        f |= t
+    return f
+
+
+def _strict_down(s: int, tables: list[int]) -> int:
+    """The Xs with a strict superset in the table ``s``: one step down along
+    each coordinate, then the down-closure (Knuth, TAOCP 4A §7.1.3)."""
+    t = 0
+    for j, e in enumerate(tables):
+        t |= (s & e) >> (1 << j)
+    for j, e in enumerate(tables):
+        t |= (t & e) >> (1 << j)
+    return t
 
 
 def _ase_pairs(p: Program, a: int, over: int, row=_row) -> list[tuple[int, int]]:

@@ -32,6 +32,17 @@ def pair(text_p: str, text_q: str):
     return parse_program(text_p, uni), parse_program(text_q, uni), uni
 
 
+def chain(k: int, shifted: int = -1) -> str:
+    """The chain ``x_i | y_i.  x_{i+1} :- x_i, not y_{i+1}.`` over 2k atoms,
+    with the disjunction at ``shifted`` replaced by its shift."""
+    rules = []
+    for i in range(k):
+        rules += [f"x{i} :- not y{i}.", f"y{i} :- not x{i}."] if i == shifted else [f"x{i} | y{i}."]
+        if i + 1 < k:
+            rules.append(f"x{i + 1} :- x{i}, not y{i + 1}.")
+    return " ".join(rules)
+
+
 def fmt_pairs(universe: Universe, pairs):
     """Render (x, y) mask pairs or ASEPairs for golden comparisons."""
     out = []

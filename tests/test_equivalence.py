@@ -32,7 +32,7 @@ from aspeq.relativized import ase_models, aue_models
 from aspeq.semantics import CapacityError, answer_sets, is_horn, submasks
 from aspeq.syntax import Program, Rule, Universe, bits, facts_program
 
-from conftest import first_witness_two_lists, pair, prog, random_pair, strong_witness_reference
+from conftest import chain, first_witness_two_lists, pair, prog, random_pair, strong_witness_reference
 
 
 def test_verdict_invariants():
@@ -215,23 +215,12 @@ def test_strong_witness_falls_through_to_the_second_argument_order():
     assert build_strong_witness(p, q, a) == w
 
 
-def _chain(k: int, shifted: int = -1) -> str:
-    # x_i | y_i.  x_{i+1} :- x_i, not y_{i+1}.  with the disjunction at
-    # `shifted` replaced by its shift
-    rules = []
-    for i in range(k):
-        rules += [f"x{i} :- not y{i}.", f"y{i} :- not x{i}."] if i == shifted else [f"x{i} | y{i}."]
-        if i + 1 < k:
-            rules.append(f"x{i + 1} :- x{i}, not y{i + 1}.")
-    return " ".join(rules)
-
-
 @pytest.mark.parametrize("k,shifted", [(3, 2), (4, 1), (4, 3), (5, 2), (5, 4)])
 def test_strong_witness_matches_the_reference_on_shifted_chains(k, shifted):
     # 6-10 atoms, beyond the exhaustive families: the alphabet-equal X'
     # scan of the builder, under the full alphabet (no atom off it) and
     # under the x-atoms plus the shifted y-atom
-    p, q, uni = pair(_chain(k), _chain(k, shifted))
+    p, q, uni = pair(chain(k), chain(k, shifted))
     xs = uni.mask_of([f"x{i}" for i in range(k)])
     for a in (uni.full_mask, xs | uni.mask_of([f"y{shifted}"])):
         v = decide(p, q, "rel-strong", a, "generic")

@@ -4,6 +4,7 @@ the full-alphabet search for the first differing row against the plain
 row search."""
 
 import random
+import tracemalloc
 from itertools import combinations_with_replacement, islice, product
 
 import pytest
@@ -12,10 +13,10 @@ from aspeq.equivalence import _first_difference, decide
 from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.relativized import ASEPair, ase_models, aue_models, is_ase_model, valid_shape
 from aspeq.se import is_se_model, se_models, ue_models
-from aspeq.semantics import CapacityError, _ase_pairs, _maximal_row, _row, submasks
+from aspeq.semantics import CapacityError, _ase_pairs, _maximal_row, _row, _strict_down, submasks
 from aspeq.syntax import Program, Rule, Universe, facts_program
 
-from conftest import prog, random_pair, row_search
+from conftest import chain, pair, prog, random_pair, row_search
 
 # the exhaustive sweeps' families: 2 atoms with up to two rules, 3 atoms
 # with up to one
@@ -156,9 +157,12 @@ def _split(p: Program, a: int) -> Program:
 
 
 def _check_against_row_search(p: Program, q: Program) -> None:
+    # both rows, both argument orders
     over = p.var | q.var
     for row in (_row, _maximal_row):
-        assert _first_difference(p, q, over, over, row) == row_search(p, q, over, over, row), (p.rules, q.rules, row.__name__)
+        expect = row_search(p, q, over, over, row)
+        for first, second in ((p, q), (q, p)):
+            assert _first_difference(first, second, over, over, row) == expect, (first.rules, second.rules, row.__name__)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -174,6 +178,82 @@ def test_full_alphabet_search_matches_the_row_search_on_pairs_sharing_no_rule():
         _check_against_row_search(p, Program(q.rules - p.rules, uni))
         # an atom outside p, so that no split rule is one of p's
         _check_against_row_search(p, _split(p, 1 << uni.intern("z")))
+
+
+def _allneg(k: int) -> str:
+    # x_i :- not y_i.  y_i :- not x_i.  x_{i+1} :- x_i, not y_{i+1}.
+    return " ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." + (f" x{i + 1} :- x{i}, not y{i + 1}." if i + 1 < k else "")
+                    for i in range(k))
+
+
+def _structured_pair(family: str, k: int) -> tuple[str, str]:
+    if family == "shift-first":
+        return chain(k), chain(k, 0)
+    if family == "shift-last":
+        return chain(k), chain(k, k - 1)
+    if family == "weakened-copies":  # a disjunction with an extra body atom, a rule with an extra head atom
+        return chain(k), f"{chain(k)} x0 | y0 :- y{k - 1}. x{k - 1} | x0 :- x{k - 2}, not y{k - 1}."
+    if family == "constraint":
+        return chain(k), f"{chain(k)} :- x{k - 1}, y{k - 1}."
+    last = f"y{k - 1} :- not x{k - 1}."
+    return _allneg(k), _allneg(k).replace(last, f"y{k - 1} | x0 :- not x{k - 1}.")
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("family", ["shift-first", "shift-last", "weakened-copies", "constraint", "allneg-weakened"])
+def test_full_alphabet_search_matches_the_row_search_on_structured_families(family, k):
+    # the chain (b) against its shift at the first and the last disjunction,
+    # against itself plus two weakened copies and against itself plus
+    # `:- x_{k-1}, y_{k-1}.`; the all-negated chain against one weakened rule
+    p, q, _ = pair(*_structured_pair(family, k))
+    _check_against_row_search(p, q)
+
+
+@pytest.mark.parametrize("text_p,text_q", [
+    ("a.", "a :- not a."),  # a one-atom Y, where the tables hold two bits
+    ("a :- a. a | b :- a, c. a | b. c :- a, not b.", "a :- a. a | b :- a, c. a | b. c | b :- a."),
+    ("a | b. c :- a.", "a | b. c :- a. :- a, c."),
+    ("a | b. c :- a. d :- not c.", "a | b. c :- a. d :- not c. :- b, not d."),
+    ("c. a | b :- c. a :- b.", "c. a :- c."),  # at Y = {a, c} the live head holds b, outside Y
+    ("c. a | b :- c.", "c. a :- c."),
+], ids=["one-atom", "shared-tautology", "constraint", "constraint-with-negation",
+        "head-outside-equal", "head-outside"])
+def test_full_alphabet_search_matches_the_row_search_on_table_edge_cases(text_p, text_q):
+    _check_against_row_search(*pair(text_p, text_q)[:2])
+
+
+def test_full_alphabet_search_over_no_atoms():
+    uni = Universe()
+    empty, falsity = Program(frozenset(), uni), Program(frozenset([Rule(0, 0, 0)]), uni)
+    for q, expect in ((empty, None), (falsity, 0)):
+        _check_against_row_search(empty, q)
+        assert _first_difference(empty, q, 0, 0, _maximal_row) == expect
+
+
+def test_strict_down_holds_the_sets_below_a_member():
+    rng = random.Random(5)
+    for m in range(5):
+        xs = range(1 << m)
+        tables = [sum(1 << x for x in xs if x >> j & 1) for j in range(m)]
+        for _ in range(40):
+            s = rng.getrandbits(1 << m)
+            expect = sum(1 << x for x in xs if any(s >> z & 1 and z != x and z & x == x for z in xs))
+            assert _strict_down(s, tables) == expect, (m, bin(s))
+
+
+def test_full_alphabet_search_keeps_no_memory():
+    # the coordinate tables live for one call: nothing that grows with the
+    # input outlives the search
+    p, q, uni = pair(chain(7), chain(7, 6))
+    over = uni.full_mask
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _first_difference(p, q, over, over, _maximal_row) is None
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024, kept
 
 
 @pytest.mark.parametrize("mode", ["strong", "uniform"])
