@@ -20,7 +20,8 @@ Sections of the ``full`` scope:
 * ``strong-witness``: ``build_strong_witness(p, q, {a})`` for every
   ``decide-2`` pair that is not ``rel-strong`` equivalent at {a}.
 
-The ``strided`` scope is ``decide-2`` at every 23rd ordered pair.
+The ``strided`` scope is ``decide-2`` and ``rel-3`` at every 23rd ordered
+pair.
 A decision line holds the call, the verdict, its mode, alphabet and
 ``Verdict.method``, and the witness as rendered context, distinguishing
 set and side.
@@ -89,10 +90,10 @@ def decide_2(out: Section, tally: Counter, stride: int, witnesses=None) -> None:
                 witnesses.add([text[i], text[j], uni.fmt(a), _witness(build_strong_witness(p, q, a), uni)])
 
 
-def rel_3(out: Section, tally: Counter) -> None:
+def rel_3(out: Section, tally: Counter, stride: int) -> None:
     uni, over, progs = _setup(3, 1)
     text = [render(p) for p in progs]
-    for (i, p), (j, q) in product(enumerate(progs), repeat=2):
+    for (i, p), (j, q) in islice(product(enumerate(progs), repeat=2), 0, None, stride):
         for a in submasks(over):
             for mode in ("rel-strong", "rel-uniform"):
                 for method in ("auto", "generic"):
@@ -118,13 +119,15 @@ def run(scope: str, dump) -> tuple[dict, Counter]:
     tally: Counter = Counter()
     sections = {}
     if scope == "strided":
-        sections["decide-2"] = Section("decide-2", dump)
+        for name in ("decide-2", "rel-3"):
+            sections[name] = Section(name, dump)
         decide_2(sections["decide-2"], tally, STRIDE)
+        rel_3(sections["rel-3"], tally, STRIDE)
     else:
         for name in ("decide-2", "strong-witness", "rel-3", "listings"):
             sections[name] = Section(name, dump)
         decide_2(sections["decide-2"], tally, 1, sections["strong-witness"])
-        rel_3(sections["rel-3"], tally)
+        rel_3(sections["rel-3"], tally, 1)
         listings(sections["listings"])
     return {n: {"lines": s.lines, "sha256": s.sha.hexdigest()} for n, s in sections.items()}, tally
 
