@@ -8,7 +8,11 @@ For each seeded random pair the script compares:
   against the fact-set signature on near pairs, where Q is P with one rule
   dropped, added or weakened (independent random pairs rarely share rules),
   and where Q is P with one disjunctive rule shifted, which often makes
-  them uniformly but not strongly equivalent,
+  them uniformly but not strongly equivalent; on the same near pairs,
+  decide_rel_uniform at a random alphabet against fact-set enumeration,
+  decide_rel_strong at an alphabet of at most two atoms against the
+  unary-context signature, and decide_ordinary against the answer sets,
+  with the alphabets drawn from a seed stream of their own,
 * decide_rel_strong against the unary-context signature (alphabets of at
   most two atoms),
 * the Horn deciders against the generic enumerator on Horn pairs,
@@ -35,6 +39,7 @@ from aspeq.equivalence import (
     brute_force_oracle,
     decide_horn_bounded,
     decide_horn_rel,
+    decide_ordinary,
     decide_rel_strong,
     decide_rel_uniform,
 )
@@ -115,14 +120,25 @@ def main(argv=None) -> int:
         disjunctive = sorted((r for r in p.rules if r.head.bit_count() >= 2), key=lambda r: (r.head, r.pos, r.neg))
         if disjunctive:
             near.append(shift_one(p, random.Random(f"shift {seed}").choice(disjunctive)))
+        arng = random.Random(f"near alphabet {seed}")
         for nq in near:
-            checks += 2
+            checks += 5
             if decide_strong(p, nq).equivalent != (_program_se(p, over) == _program_se(nq, over)):
                 disagreements += 1
                 print(f"near-pair strong disagreement at seed {seed}")
             if decide_uniform(p, nq).equivalent != (uniform_signature(p, over, over) == uniform_signature(nq, over, over)):
                 disagreements += 1
                 print(f"near-pair uniform disagreement at seed {seed}")
+            na, small = arng.randint(0, over), arng.choice([m for m in submasks(over) if m.bit_count() <= 2])
+            if decide_rel_uniform(p, nq, na).equivalent != brute_force_oracle(p, nq, na, "uniform").equivalent:
+                disagreements += 1
+                print(f"near-pair rel-uniform disagreement at seed {seed}, alphabet {uni.fmt(na)}")
+            if decide_rel_strong(p, nq, small).equivalent != (unary_signature(p, small, over) == unary_signature(nq, small, over)):
+                disagreements += 1
+                print(f"near-pair rel-strong disagreement at seed {seed}, alphabet {uni.fmt(small)}")
+            if decide_ordinary(p, nq).equivalent != brute_force_oracle(p, nq, 0, "ordinary").equivalent:
+                disagreements += 1
+                print(f"near-pair ordinary disagreement at seed {seed}")
 
         small = rng.choice([m for m in submasks(over) if m.bit_count() <= 2])
         checks += 1

@@ -63,62 +63,5 @@ from .transforms import (
 from .classify import ProgramClass, classify
 from .harness import GeneratorConfig, SweepReport, exhaustive_sweep, random_program
 
-__all__ = [
-    "ASEPair",
-    "Atom",
-    "CapacityError",
-    "GeneratorConfig",
-    "ParseError",
-    "Program",
-    "ProgramClass",
-    "Rule",
-    "SweepReport",
-    "Universe",
-    "Verdict",
-    "VerificationError",
-    "Witness",
-    "a_minimal_models",
-    "answer_sets",
-    "ase_check_normal",
-    "ase_models",
-    "aue_check_hcf",
-    "aue_models",
-    "bound_sets",
-    "brute_force_oracle",
-    "build_strong_witness",
-    "build_uniform_witness",
-    "check_shift_safe",
-    "classical_models",
-    "classify",
-    "decide",
-    "decide_horn_bounded",
-    "decide_horn_rel",
-    "decide_ordinary",
-    "decide_rel_strong",
-    "decide_rel_uniform",
-    "decide_strong",
-    "decide_uniform",
-    "eliminate_constraints_negation",
-    "eliminate_constraints_positive",
-    "exhaustive_sweep",
-    "horn_least_model",
-    "is_a_hcf",
-    "is_ase_model",
-    "is_hcf",
-    "is_se_model",
-    "parse_program",
-    "random_program",
-    "reduct",
-    "render",
-    "s_r",
-    "satisfies",
-    "se_consequence",
-    "se_models",
-    "shift_one",
-    "shift_program",
-    "shift_rule",
-    "ue_class_check",
-    "ue_consequence",
-    "ue_models",
-    "var_of",
-]
+# the public names: every callable imported above
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and callable(v))

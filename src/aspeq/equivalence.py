@@ -22,7 +22,6 @@ from typing import Iterable, Optional
 from .semantics import (
     _first_difference,
     _horn_closure,
-    _maximal_row,
     _row,
     check_capacity,
     is_answer_set,
@@ -94,8 +93,8 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     are always enumerated and ignore ``a``.  The relativized rows use
     ``a & var(p ∪ q)`` (default: every atom) and ``method``: "generic"
     compares the A-SE-models (A-UE-models for rel-uniform) up to the least
-    Y where they differ, where the strong kinds' witness is built; at the
-    full alphabet it reads only where an unshared rule can tell them apart.
+    Y where they differ, where the strong kinds' witness is built; it
+    reads only where an unshared rule can tell them apart.
     "horn" runs the fact-extension decision for Horn programs, and "auto"
     takes "horn" when both are Horn and "generic" otherwise.  ``method`` is
     validated in every mode.
@@ -115,7 +114,7 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     else:
         a = 0 if mode == "ordinary" else over
     strong = not mode.endswith("uniform")
-    y = _first_difference(p, q, a, over, _row if strong else _maximal_row)
+    y = _first_difference(p, q, a, over, maximal=not strong)
     if y is None:
         return Verdict(True, mode, a, None, route)
     w = _strong_witness(p, q, a, y) if strong else build_uniform_witness(p, q, a)

@@ -23,7 +23,7 @@ from .equivalence import unary_rules
 from .relativized import a_minimal_models, ase_models, aue_models
 from .se import se_models, ue_models
 from .semantics import answer_sets, check_capacity, satisfies, submasks
-from .syntax import Program, Rule, Universe, _Record, bits
+from .syntax import Program, Rule, Universe, _Record, bits, project
 from .transforms import s_r, shift_rule
 
 ATOM_NAMES = "abcdefgh"
@@ -94,15 +94,6 @@ def family_programs(universe: Universe, over: int, max_rules: int = 2) -> list[P
 
 # ---------------------------------------------------------------------------
 # fast definitional oracles
-
-def project(mask: int, positions: list[int]) -> int:
-    """Compress the bits of ``mask`` at ``positions`` into a small mask."""
-    out = 0
-    for k, p in enumerate(positions):
-        if (mask >> p) & 1:
-            out |= 1 << k
-    return out
-
 
 def _se_set(rules: Collection[Rule], over: int) -> frozenset[tuple[int, int]]:
     """SE-models of ``rules`` over ``over`` by definition: the pairs where Y

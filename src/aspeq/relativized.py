@@ -2,7 +2,7 @@
 
 An A-SE-interpretation is a pair (X, Y) with X = Y or X a strict subset of
 Y ∩ A.  ``ase_models`` and ``aue_models`` list the per-Y rows
-(``semantics._row``, and ``_maximal_row`` for A-UE) as ``ASEPair``.
+(``semantics._row``, with ``maximal`` for A-UE) as ``ASEPair``.
 Membership tests come in a generic form and, for normal and
 head-cycle-free programs, in polynomial Horn-based forms that decide a
 single pair.
@@ -10,20 +10,20 @@ single pair.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .semantics import (
     _ase_pairs,
-    _maximal_row,
-    _y_is_a_minimal_for_reduct,
     classical_models,
     horn_least_model,
     horn_satisfiable,
     is_model,
+    proper_submasks,
     reduct,
+    satisfies,
     submasks,
 )
-from .syntax import Program, _Record, bits
+from .syntax import Program, Rule, _Record, bits
 from .transforms import is_hcf, shift_program
 
 
@@ -47,6 +47,12 @@ def valid_shape(x: int, y: int, a: int) -> bool:
         return True
     ya = y & a
     return (x & ~ya) == 0 and x != ya
+
+
+def _y_is_a_minimal_for_reduct(red: Iterable[Rule], y: int, a: int) -> bool:
+    # no y' strictly below y agreeing with y on `a` satisfies every rule of `red`
+    fixed = y & a
+    return not any(all(satisfies(fixed | t, r) for r in red) for t in proper_submasks(y & ~a))
 
 
 def is_ase_model(p: Program, pair: ASEPair) -> bool:
@@ -76,7 +82,7 @@ def aue_models(p: Program, a: int, over: Optional[int] = None) -> list[ASEPair]:
     non-total ones with the same y."""
     if over is None:
         over = p.var | a
-    return [ASEPair(x, y, a) for x, y in _ase_pairs(p, a, over, _maximal_row)]
+    return [ASEPair(x, y, a) for x, y in _ase_pairs(p, a, over, maximal=True)]
 
 
 def a_minimal_models(p: Program, a: int, over: Optional[int] = None) -> list[int]:

@@ -3,7 +3,7 @@
 An SE-pair is an ordered pair of interpretation masks ``(x, y)`` with
 ``x`` a subset of ``y``.  SE-models are the A-SE-models with ``a = over``,
 listed row by row (``semantics._row``), and UE-models the maximal rows
-(``semantics._maximal_row``); the listings are sorted by ``(y, x)``, and
+(``_row`` with ``maximal``); the listings are sorted by ``(y, x)``, and
 ``over`` must cover var(p).  ``decide`` compares the rows of two programs
 up to the first differing Y (``semantics._first_difference``), and
 SE-/UE-consequence of a rule r asks it whether adding r changes them.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .equivalence import Verdict, decide
-from .semantics import _ase_pairs, _first_difference, _maximal_row, _row, is_model, reduct
+from .semantics import _ase_pairs, _first_difference, is_model, reduct
 from .syntax import Program, Rule
 
 SEPair = tuple[int, int]
@@ -38,19 +38,19 @@ def ue_models(p: Program, over: Optional[int] = None) -> list[SEPair]:
     """SE-models that are total or maximal among the non-total ones per y."""
     if over is None:
         over = p.var
-    return _ase_pairs(p, over, over, _maximal_row)
+    return _ase_pairs(p, over, over, maximal=True)
 
 
 def se_consequence(p: Program, r: Rule) -> bool:
     """Every SE-model of ``p`` is an SE-model of {r}: adding ``r`` keeps them."""
     over = p.var | r.atoms
-    return _first_difference(p, p | Program(frozenset([r]), p.universe), over, over, _row) is None
+    return _first_difference(p, p | Program(frozenset([r]), p.universe), over, over, maximal=False) is None
 
 
 def ue_consequence(p: Program, r: Rule) -> bool:
     """Every UE-model of ``p`` is an SE-model of {r}: adding ``r`` keeps them."""
     over = p.var | r.atoms
-    return _first_difference(p, p | Program(frozenset([r]), p.universe), over, over, _maximal_row) is None
+    return _first_difference(p, p | Program(frozenset([r]), p.universe), over, over, maximal=True) is None
 
 
 def ue_class_check(p: Program) -> bool:

@@ -6,18 +6,20 @@ of 24 atoms; every function here is pure.  ``is_answer_set`` asks the
 answer-set question of one interpretation, and its callers check the cap.
 A row lists the X of the A-SE-models (X, Y) of a program at one Y, as the
 models are defined: Y is an A-minimal model of the reduct and the X are
-alphabet parts below it.  The listings join the rows of every Y in
-ascending order.  ``_first_difference``, the one row search, finds the
-first Y at which two programs' rows differ; at the full alphabet it reads
-the Xs ⊆ Y at once, as truth tables (one bit per X) of the unshared rules.
-``decide``, SE-/UE-consequence and ``check_shift_safe`` all ask it.
+alphabet parts below it.  It is read from one truth table, one bit per
+X ⊆ Y, of the Xs modelling the reduct (``_row_table``), at every
+alphabet.  The listings join the rows of every Y in ascending order.
+``_first_difference``, the one row search, finds the first Y at which two
+programs' rows differ, building the tables only where an unshared rule
+can tell them apart.  ``decide``, SE-/UE-consequence and
+``check_shift_safe`` all ask it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional
 
-from .syntax import Program, Rule, Universe, bits
+from .syntax import Program, Rule, Universe, bits, project
 
 CAPACITY = 24
 
@@ -112,92 +114,88 @@ def answer_sets(p: Program) -> list[int]:
     return [y for y in submasks(var) if is_answer_set(y, p)]
 
 
-def _y_is_a_minimal_for_reduct(red: Iterable[Rule], y: int, a: int) -> bool:
-    # no y' strictly below y agreeing with y on `a` satisfies every rule of `red`
-    fixed = y & a
-    return not any(all(satisfies(fixed | t, r) for r in red) for t in proper_submasks(y & ~a))
+def _live(rules: Iterable[Rule], y: int) -> list[tuple[int, int]]:
+    # a rule whose body fails at Y holds at every X ⊆ Y, one whose body meets its head everywhere
+    return [(r.pos, r.head & y) for r in rules if not (r.pos & r.head or r.pos & ~y or r.neg & y)]
 
 
-def _row(p: Program, a: int, y: int) -> list[int]:
-    """The X of the A-SE-models ``(X, Y)`` of ``p`` at ``y``, ascending,
-    with ``y`` last; empty unless ``y`` models ``p`` with no ``y'`` below
-    it, agreeing on ``a``, modelling the reduct.  With ``a`` covering ``y``
-    these are the SE-models at ``y``.
-
-    A non-total X lies strictly inside ``y ∩ a`` and some extension of it
-    off ``a`` within ``y`` models the reduct.
-    """
-    if not is_model(y, p):
-        return []
-    # every x ⊆ y misses these rules' negative bodies: `satisfies` reads the reduct
-    red = [r for r in p.rules if not (r.neg & y)]
-    if not _y_is_a_minimal_for_reduct(red, y, a):
-        return []
-    ya = y & a
-    ext = list(submasks(y & ~a)) if ya else []  # at y ∩ a = ∅ the row is [y]
-    row = []
-    for x in submasks(ya):
-        if x == ya:  # the last submask; y closes the row below
-            break
-        for t in ext:
-            if all(satisfies(x | t, r) for r in red):
-                row.append(x)
-                break
-    row.append(y)
-    return row
+def _models_at(y: int, coord: list[int], red: list[tuple[int, int]], *live: list[tuple[int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """Y's atoms, its coordinate tables, and the Xs ⊆ Y modelling the
+    reduct whose live cubes are ``red`` plus each list of ``live``.  Table
+    j of ``coord`` holds the Xs (bit k for the k-th in ascending order)
+    with Y's j-th atom; it grows in place, so one list serves a Y loop."""
+    positions = list(bits(y))
+    while len(coord) < len(positions):  # one more coordinate doubles every table
+        w = 1 << len(coord)
+        coord[:] = [e | e << w for e in coord] + [((1 << w) - 1) << w]
+    full = (1 << (1 << len(positions))) - 1
+    tables = [e & full for e in coord[:len(positions)]]
+    at = dict(zip(positions, tables))
+    f = _failing(red, at, full)
+    return positions, tables, [full & ~(f | _failing(rules, at, full)) for rules in live]
 
 
-def _maximal_row(p: Program, a: int, y: int) -> list[int]:
-    """The X of the A-UE-models at ``y``: ``y`` itself and the non-total X
-    of ``_row`` with no strict superset among the non-total ones."""
-    row = _row(p, a, y)
-    # a strict superset of x sorts after it; the last entry is y
-    return [x for i, x in enumerate(row[:-1]) if not any(not x & ~x2 for x2 in row[i + 1:-1])] + row[-1:]
+def _row_table(models: int, tables: list[int], off: int, maximal: bool) -> int:
+    """The row at Y as a table: ``models`` holds the Xs ⊆ Y modelling the
+    reduct (the top bit is Y), ``off`` the coordinates of Y \\ A.  Empty
+    unless Y models the reduct and no other model agrees with Y on A; else Y
+    and each X ⊊ Y ∩ A with an extension off A modelling the reduct (with
+    ``maximal``, those with no strict superset among them)."""
+    n = (1 << len(tables)) - 1  # Y's own bit
+    if not models >> n & 1:
+        return 0
+    s = models ^ 1 << n
+    for j in bits(off):  # pull the models down along Y \ A
+        s = (s | (s & tables[j]) >> (1 << j)) & ~tables[j]
+    if s >> (n ^ off) & 1:  # an X ≠ Y with X ∩ A = Y ∩ A
+        return 0
+    if maximal:
+        s &= ~_strict_down(s, tables)
+    return s | 1 << n
 
 
-def _first_difference(p: Program, q: Program, a: int, over: int, row) -> Optional[int]:
-    """The least Y over ``over`` at which ``row`` (``_row`` for the
-    A-SE-models, ``_maximal_row`` for the A-UE-models) differs between
-    ``p`` and ``q``, or None when every row agrees.
+def _row(p: Program, a: int, y: int, maximal: bool = False) -> list[int]:
+    """The X of the A-SE-models ``(X, Y)`` of ``p`` at ``y`` (with
+    ``maximal``, the A-UE-models), ascending with ``y`` last; empty unless
+    ``y`` models ``p`` and no ``y' ⊊ y`` agreeing on ``a`` models the reduct.
+    With ``a`` covering ``y`` these are the SE- and UE-models at ``y``."""
+    positions, tables, (models,) = _models_at(y, [], [], _live(p.rules, y))
+    t = _row_table(models, tables, project(y & ~a, positions), maximal)
+    return [x for k, x in enumerate(submasks(y)) if t >> k & 1]
 
-    At an ``a`` covering ``over`` only the rules that the programs do not
-    share tell the rows apart (SE(P) = SE(P ∩ Q) ∩ SE(P \\ Q), Turner 2003).
-    At a Y modelling both, tables with one bit per X ⊆ Y hold F, the Xs
-    failing a live shared rule, and F_s, those failing a live unshared rule
-    of side s.  The rows differ iff ``(F_p ^ F_q) & ~F`` is not 0, and the
-    maximal rows iff some X of ``S_s & F_other`` has no strict superset in
-    S_s = ~F & ~F_s below Y.
+
+def _first_difference(p: Program, q: Program, a: int, over: int, maximal: bool) -> Optional[int]:
+    """The least Y over ``over`` at which the rows of ``p`` and ``q`` (the
+    A-SE-models, or with ``maximal`` the A-UE-models) differ, or None.
+
+    A row at Y reads only whether Y models the program and which X ⊆ Y
+    model its reduct, so only the rules that the programs do not share
+    tell the rows apart.  A Y is skipped when it fails a shared rule, fails
+    both programs, or satisfies the body of no unshared rule; a Y ⊆ A
+    modelling one program only is returned at once.  Elsewhere, tables
+    with one bit per X ⊆ Y hold F, the Xs failing a live shared rule, and
+    F_s, those failing a live unshared rule of side s.  Where the models
+    ~(F | F_p) and ~(F | F_q) differ, their ``_row_table`` are compared.
     """
     check_capacity(over)
-    if over & ~a:
-        return next((y for y in submasks(over) if row(p, a, y) != row(q, a, y)), None)
-    # a rule whose body meets its head holds in every SE-model
     shared, *own = ([r for r in rs if not r.pos & r.head] for rs in (p.rules & q.rules, p.rules - q.rules, q.rules - p.rules))
-    coord: list[int] = []  # coord[j]: the Xs holding atom j, for the largest Y so far
+    if not (own[0] or own[1]):  # the same rules give the same rows
+        return None
+    coord: list[int] = []
     for y in submasks(over):
         held = [all(r.pos & ~y or r.neg & y or r.head & y for r in rules) for rules in (shared, *own)]
-        if held[0] and held[1] != held[2]:
+        if not (held[0] and (held[1] or held[2])):
+            continue
+        if held[1] != held[2] and not y & ~a:  # Y ⊆ A is A-minimal: one row holds Y, the other is empty
             return y
-        if not (held[0] and held[1]):
+        red, *live = (_live(rules, y) for rules in (shared, *own))
+        if not (live[0] or live[1]):  # then both hold Y, and their reducts agree below it
             continue
-        # a rule whose body fails at Y holds at every X ⊆ Y
-        red, *live = ([(r.pos, r.head & y) for r in rules if not (r.pos & ~y or r.neg & y)] for rules in (shared, *own))
-        if not (live[0] or live[1]):
-            continue
-        m = y.bit_count()
-        while len(coord) < m:  # one more coordinate doubles every table
-            w = 1 << len(coord)
-            coord = [e | e << w for e in coord] + [((1 << w) - 1) << w]
-        full = (1 << (1 << m)) - 1
-        tables = [e & full for e in coord[:m]]
-        at = dict(zip(bits(y), tables))
-        f, f_p, f_q = (_failing(rules, at, full) for rules in (red, *live))
-        if row is _row:
-            if (f_p ^ f_q) & ~f:
+        positions, tables, (m_p, m_q) = _models_at(y, coord, red, *live)
+        if m_p != m_q:  # else the rows agree too
+            off = project(y & ~a, positions)
+            if _row_table(m_p, tables, off, maximal) != _row_table(m_q, tables, off, maximal):
                 return y
-        elif any(s & other & ~_strict_down(s, tables)  # full >> 1: every X but Y, the top bit
-                 for s, other in ((full >> 1 & ~(f | f_p), f_q), (full >> 1 & ~(f | f_q), f_p))):
-            return y
     return None
 
 
@@ -224,14 +222,14 @@ def _strict_down(s: int, tables: list[int]) -> int:
     return t
 
 
-def _ase_pairs(p: Program, a: int, over: int, row=_row) -> list[tuple[int, int]]:
+def _ase_pairs(p: Program, a: int, over: int, maximal: bool = False) -> list[tuple[int, int]]:
     """The pairs ``(x, y)`` of the rows of ``p`` over ``over`` in ``(y, x)``
-    order: the A-SE-models, or with ``row=_maximal_row`` the A-UE-models.
+    order: the A-SE-models, or with ``maximal`` the A-UE-models.
     ``over`` must cover var(p); it and the capacity are checked here."""
     if p.var & ~over:
         raise ValueError("`over` must cover var(p)")
     check_capacity(over)
-    return [(x, y) for y in submasks(over) for x in row(p, a, y)]
+    return [(x, y) for y in submasks(over) for x in _row(p, a, y, maximal)]
 
 
 def is_horn(p: Program) -> bool:

@@ -138,6 +138,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def project(mask: int, positions: list[int]) -> int:
+    """Compress the bits of ``mask`` at ``positions`` into a small mask."""
+    return sum(1 << k for k, i in enumerate(positions) if mask >> i & 1)
+
+
 class Rule(_Record):
     """A rule head ; pos_body ; neg_body, each a bit mask over the universe.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .semantics import _first_difference, _row, check_capacity, submasks
+from .semantics import _first_difference, check_capacity, submasks
 from .syntax import ATOM_RE, Program, Rule, bits
 
 
@@ -85,7 +85,7 @@ def check_shift_safe(p: Program, r: Rule, a: int) -> bool:
     """
     shifted = shift_one(p, r)
     check_capacity(p.var | a)
-    return _first_difference(p, shifted, a & p.var, p.var, _row) is None
+    return _first_difference(p, shifted, a & p.var, p.var, maximal=False) is None
 
 
 def _fresh_atom(p: Program, w: Optional[str]) -> str:

@@ -5,9 +5,9 @@ import pytest
 
 from aspeq.equivalence import Witness
 from aspeq.harness import GeneratorConfig, random_program
-from aspeq.relativized import ASEPair
+from aspeq.relativized import ASEPair, _y_is_a_minimal_for_reduct
 from aspeq.se import is_se_model, se_models, ue_models
-from aspeq.semantics import _y_is_a_minimal_for_reduct, answer_sets, is_model, proper_submasks, reduct, submasks
+from aspeq.semantics import answer_sets, is_model, proper_submasks, reduct, satisfies, submasks
 from aspeq.syntax import Program, Rule, Universe, bits, facts_program, parse_program
 from aspeq.transforms import s_r, shift_one
 
@@ -147,11 +147,50 @@ def strong_witness_reference(p: Program, q: Program, a: int) -> Witness:
     raise AssertionError("no witness found; programs appear strongly equivalent")
 
 
-def row_search(p: Program, q: Program, a: int, over: int, row) -> Optional[int]:
-    """The least Y over ``over`` at which ``row`` differs between ``p`` and
-    ``q``, from both programs' rows at every Y.  A reference for
-    ``_first_difference``, which reads only the Ys and Xs that a rule the
-    programs do not share can tell apart."""
+def per_x_row(p: Program, a: int, y: int) -> list[int]:
+    """The X of the A-SE-models ``(X, Y)`` of ``p`` at ``y``, one X at a
+    time, ascending, with ``y`` last; empty unless ``y`` models ``p`` with
+    no ``y'`` below it, agreeing on ``a``, modelling the reduct.  A
+    reference for ``semantics._row``, which reads the Xs as one table.
+
+    A non-total X lies strictly inside ``y ∩ a`` and some extension of it
+    off ``a`` within ``y`` models the reduct.
+    """
+    if not is_model(y, p):
+        return []
+    # every x ⊆ y misses these rules' negative bodies: `satisfies` reads the reduct
+    red = [r for r in p.rules if not (r.neg & y)]
+    if not _y_is_a_minimal_for_reduct(red, y, a):
+        return []
+    ya = y & a
+    ext = list(submasks(y & ~a)) if ya else []  # at y ∩ a = ∅ the row is [y]
+    row = []
+    for x in submasks(ya):
+        if x == ya:  # the last submask; y closes the row below
+            break
+        for t in ext:
+            if all(satisfies(x | t, r) for r in red):
+                row.append(x)
+                break
+    row.append(y)
+    return row
+
+
+def per_x_maximal_row(p: Program, a: int, y: int) -> list[int]:
+    """The X of the A-UE-models at ``y``: ``y`` itself and the non-total X
+    of ``per_x_row`` with no strict superset among the non-total ones."""
+    row = per_x_row(p, a, y)
+    # a strict superset of x sorts after it; the last entry is y
+    return [x for i, x in enumerate(row[:-1]) if not any(not x & ~x2 for x2 in row[i + 1:-1])] + row[-1:]
+
+
+def row_search(p: Program, q: Program, a: int, over: int, maximal: bool) -> Optional[int]:
+    """The least Y over ``over`` at which the per-X rows (the maximal ones
+    with ``maximal``) differ between ``p`` and ``q``, from both programs'
+    rows at every Y.  A reference for ``_first_difference``, which reads
+    only the Ys that a rule the programs do not share can tell apart, and
+    each Y's Xs as one table."""
+    row = per_x_maximal_row if maximal else per_x_row
     return next((y for y in submasks(over) if row(p, a, y) != row(q, a, y)), None)
 
 

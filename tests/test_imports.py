@@ -1,8 +1,9 @@
 """Every import in the package sits at module level: a function-level
 import is how an import cycle gets hidden, so none may come back.  The
 CLI's imports stay light: no ``dataclasses``, which would pull in
-``inspect`` and the compiler modules on every start-up.  And every
-function the traced benchmark run wraps by name still exists."""
+``inspect`` and the compiler modules on every start-up.  Every
+function the traced benchmark run wraps by name still exists, and the
+public names are pinned."""
 
 import ast
 import importlib
@@ -50,3 +51,25 @@ def test_traced_layer_names_resolve():
         if not callable(getattr(importlib.import_module(f"aspeq.{layer}"), name, None))
     ]
     assert not missing, f"traced names missing from aspeq: {', '.join(missing)}"
+
+
+PUBLIC = [
+    "ASEPair", "Atom", "CapacityError", "GeneratorConfig", "ParseError", "Program", "ProgramClass",
+    "Rule", "SweepReport", "Universe", "Verdict", "VerificationError", "Witness",
+    "a_minimal_models", "answer_sets", "ase_check_normal", "ase_models", "aue_check_hcf", "aue_models",
+    "bound_sets", "brute_force_oracle", "build_strong_witness", "build_uniform_witness",
+    "check_shift_safe", "classical_models", "classify", "decide", "decide_horn_bounded",
+    "decide_horn_rel", "decide_ordinary", "decide_rel_strong", "decide_rel_uniform", "decide_strong",
+    "decide_uniform", "eliminate_constraints_negation", "eliminate_constraints_positive",
+    "exhaustive_sweep", "horn_least_model", "is_a_hcf", "is_ase_model", "is_hcf", "is_se_model",
+    "parse_program", "random_program", "reduct", "render", "s_r", "satisfies", "se_consequence",
+    "se_models", "shift_one", "shift_program", "shift_rule", "ue_class_check", "ue_consequence",
+    "ue_models", "var_of",
+]
+
+
+def test_public_names_are_pinned():
+    # `__all__` is derived from the imports in `aspeq/__init__.py`; the
+    # names are part of the contract, so a new or lost import fails here
+    assert aspeq.__all__ == PUBLIC
+    assert all(callable(getattr(aspeq, n)) for n in PUBLIC)

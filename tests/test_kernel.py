@@ -1,7 +1,7 @@
 """The per-Y rows under the SE-, UE-, A-SE- and A-UE-model listings,
 checked against the per-pair definitions on the exhaustive families, and
-the full-alphabet search for the first differing row against the plain
-row search."""
+the search for the first differing row against the per-X row search of
+``conftest``, at the full, the empty and partial alphabets."""
 
 import random
 import tracemalloc
@@ -13,10 +13,10 @@ from aspeq.equivalence import _first_difference, decide
 from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.relativized import ASEPair, ase_models, aue_models, is_ase_model, valid_shape
 from aspeq.se import is_se_model, se_models, ue_models
-from aspeq.semantics import CapacityError, _ase_pairs, _maximal_row, _row, _strict_down, submasks
+from aspeq.semantics import CapacityError, _ase_pairs, _row, _strict_down, submasks
 from aspeq.syntax import Program, Rule, Universe, facts_program
 
-from conftest import chain, pair, prog, random_pair, row_search
+from conftest import chain, pair, per_x_maximal_row, per_x_row, prog, random_pair, row_search
 
 # the exhaustive sweeps' families: 2 atoms with up to two rules, 3 atoms
 # with up to one
@@ -82,11 +82,21 @@ def test_first_difference_is_the_least_differing_y(atoms, max_rules, stride):
             listings[i, a] = (ase_models(p, a, over), aue_models(p, a, over))
     for i, j in islice(product(range(len(progs)), repeat=2), 0, None, stride):
         for a in alphabets:
-            for kind, row in enumerate((_row, _maximal_row)):
-                diff = set(listings[i, a][kind]) ^ set(listings[j, a][kind])
+            for maximal in (False, True):
+                diff = set(listings[i, a][maximal]) ^ set(listings[j, a][maximal])
                 expect = min((pr.y for pr in diff), default=None)
-                got = _first_difference(progs[i], progs[j], a, over, row)
-                assert got == expect, (progs[i].rules, progs[j].rules, a, row.__name__)
+                got = _first_difference(progs[i], progs[j], a, over, maximal)
+                assert got == expect, (progs[i].rules, progs[j].rules, a, maximal)
+
+
+@pytest.mark.parametrize("atoms,max_rules", FAMILIES)
+def test_rows_match_the_per_x_rows_on_the_families(atoms, max_rules):
+    # the table rows under the listings and the strong witness
+    over, progs = _family(atoms, max_rules)
+    for p in progs:
+        for a, y in product(submasks(over), repeat=2):
+            assert _row(p, a, y) == per_x_row(p, a, y), (p.rules, a, y)
+            assert _row(p, a, y, True) == per_x_maximal_row(p, a, y), (p.rules, a, y)
 
 
 def test_pair_kernel_checks_its_arguments_at_the_call():
@@ -100,16 +110,19 @@ def test_pair_kernel_checks_its_arguments_at_the_call():
 
 
 @pytest.mark.parametrize("atoms,max_rules", FAMILIES)
-def test_full_alphabet_search_matches_the_row_search_on_the_families(atoms, max_rules):
-    # every unordered pair (the search is symmetric in p and q), both rows;
-    # the reference's rows are listed once per program
+def test_search_matches_the_per_x_row_search_on_the_families(atoms, max_rules):
+    # both rows; at the full alphabet every unordered pair (the search is
+    # symmetric in p and q), at ∅ and at one partial alphabet every 4th;
+    # the per-X rows are listed once per program and alphabet
     over, progs = _family(atoms, max_rules)
-    rows = [[(tuple(_row(p, over, y)), tuple(_maximal_row(p, over, y))) for y in submasks(over)] for p in progs]
     ys = list(submasks(over))
-    for i, j in combinations_with_replacement(range(len(progs)), 2):
-        for kind, row in enumerate((_row, _maximal_row)):
-            expect = next((y for y, rp, rq in zip(ys, rows[i], rows[j]) if rp[kind] != rq[kind]), None)
-            assert _first_difference(progs[i], progs[j], over, over, row) == expect, (progs[i].rules, progs[j].rules, kind)
+    for a, stride in ((over, 1), (0, 4), (over & ~1, 4)):
+        rows = [[(per_x_row(p, a, y), per_x_maximal_row(p, a, y)) for y in ys] for p in progs]
+        for i, j in islice(combinations_with_replacement(range(len(progs)), 2), 0, None, stride):
+            for maximal in (False, True):
+                expect = next((y for y, rp, rq in zip(ys, rows[i], rows[j]) if rp[maximal] != rq[maximal]), None)
+                got = _first_difference(progs[i], progs[j], a, over, maximal)
+                assert got == expect, (progs[i].rules, progs[j].rules, a, maximal)
 
 
 def _random_rule(rng: random.Random, n: int) -> Rule:
@@ -156,28 +169,36 @@ def _split(p: Program, a: int) -> Program:
     return Program(frozenset(rules), p.universe)
 
 
-def _check_against_row_search(p: Program, q: Program) -> None:
-    # both rows, both argument orders
+def _check_against_row_search(p: Program, q: Program, *alphabets: int) -> None:
+    # both rows, both argument orders, at the full alphabet and at `alphabets`
     over = p.var | q.var
-    for row in (_row, _maximal_row):
-        expect = row_search(p, q, over, over, row)
-        for first, second in ((p, q), (q, p)):
-            assert _first_difference(first, second, over, over, row) == expect, (first.rules, second.rules, row.__name__)
+    for a in (over, *alphabets):
+        for maximal in (False, True):
+            expect = row_search(p, q, a, over, maximal)
+            for first, second in ((p, q), (q, p)):
+                assert _first_difference(first, second, a, over, maximal) == expect, (first.rules, second.rules, a, maximal)
+
+
+def _partial(rng: random.Random, over: int) -> int:
+    # a random alphabet, possibly reaching past `over`
+    return rng.getrandbits(over.bit_length() + 1)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_full_alphabet_search_matches_the_row_search_on_near_pairs(seed):
+def test_search_matches_the_per_x_row_search_on_near_pairs(seed):
     rng = random.Random(seed)
     for i in range(60):
-        _check_against_row_search(*_near_pair(rng, 5 + i % 5))
+        p, q = _near_pair(rng, 5 + i % 5)
+        _check_against_row_search(p, q, 0, _partial(rng, p.var | q.var))
 
 
-def test_full_alphabet_search_matches_the_row_search_on_pairs_sharing_no_rule():
+def test_search_matches_the_per_x_row_search_on_pairs_sharing_no_rule():
+    rng = random.Random(150)
     for seed in range(150):
         p, q, uni, _ = random_pair(seed, atoms=5, max_rules=6)
-        _check_against_row_search(p, Program(q.rules - p.rules, uni))
+        _check_against_row_search(p, Program(q.rules - p.rules, uni), 0, _partial(rng, p.var | q.var))
         # an atom outside p, so that no split rule is one of p's
-        _check_against_row_search(p, _split(p, 1 << uni.intern("z")))
+        _check_against_row_search(p, _split(p, 1 << uni.intern("z")), _partial(rng, uni.full_mask))
 
 
 def _allneg(k: int) -> str:
@@ -201,12 +222,13 @@ def _structured_pair(family: str, k: int) -> tuple[str, str]:
 
 @pytest.mark.parametrize("k", [4, 5])
 @pytest.mark.parametrize("family", ["shift-first", "shift-last", "weakened-copies", "constraint", "allneg-weakened"])
-def test_full_alphabet_search_matches_the_row_search_on_structured_families(family, k):
+def test_search_matches_the_per_x_row_search_on_structured_families(family, k):
     # the chain (b) against its shift at the first and the last disjunction,
     # against itself plus two weakened copies and against itself plus
-    # `:- x_{k-1}, y_{k-1}.`; the all-negated chain against one weakened rule
-    p, q, _ = pair(*_structured_pair(family, k))
-    _check_against_row_search(p, q)
+    # `:- x_{k-1}, y_{k-1}.`; the all-negated chain against one weakened
+    # rule; at the full alphabet, ∅ and the x-atoms
+    p, q, uni = pair(*_structured_pair(family, k))
+    _check_against_row_search(p, q, 0, uni.mask_of([f"x{i}" for i in range(k)]))
 
 
 @pytest.mark.parametrize("text_p,text_q", [
@@ -218,16 +240,29 @@ def test_full_alphabet_search_matches_the_row_search_on_structured_families(fami
     ("c. a | b :- c.", "c. a :- c."),
 ], ids=["one-atom", "shared-tautology", "constraint", "constraint-with-negation",
         "head-outside-equal", "head-outside"])
-def test_full_alphabet_search_matches_the_row_search_on_table_edge_cases(text_p, text_q):
-    _check_against_row_search(*pair(text_p, text_q)[:2])
+def test_search_matches_the_per_x_row_search_on_table_edge_cases(text_p, text_q):
+    p, q, uni = pair(text_p, text_q)
+    _check_against_row_search(p, q, *submasks(uni.full_mask))
 
 
-def test_full_alphabet_search_over_no_atoms():
+def test_search_over_no_atoms():
     uni = Universe()
     empty, falsity = Program(frozenset(), uni), Program(frozenset([Rule(0, 0, 0)]), uni)
     for q, expect in ((empty, None), (falsity, 0)):
         _check_against_row_search(empty, q)
-        assert _first_difference(empty, q, 0, 0, _maximal_row) == expect
+        assert _first_difference(empty, q, 0, 0, True) == expect
+
+
+def test_search_tells_uniform_from_strong_where_the_down_closure_matters():
+    # Q is P without `d :- a.`: uniformly but not strongly equivalent; a
+    # one-step strict down-closure flags Y = {a, b, c, d} in the uniform search
+    p, q, uni = pair("b :- a, not c. b :- a, c. b | c :- a, d. d :- a. d :- b.",
+                     "b :- a, not c. b :- a, c. b | c :- a, d. d :- b.")
+    over = uni.full_mask
+    _check_against_row_search(p, q)
+    assert _first_difference(p, q, over, over, True) is None
+    assert _first_difference(p, q, over, over, False) is not None
+    assert decide(p, q, "uniform").equivalent and not decide(p, q, "strong").equivalent
 
 
 def test_strict_down_holds_the_sets_below_a_member():
@@ -249,7 +284,7 @@ def test_full_alphabet_search_keeps_no_memory():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert _first_difference(p, q, over, over, _maximal_row) is None
+        assert _first_difference(p, q, over, over, True) is None
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
