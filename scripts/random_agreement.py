@@ -13,6 +13,10 @@ For each seeded random pair the script compares:
   decide_rel_strong at an alphabet of at most two atoms against the
   unary-context signature, and decide_ordinary against the answer sets,
   with the alphabets drawn from a seed stream of their own,
+* on each rel-uniform and ordinary check, the decider's witness (context
+  rules, distinguishing set, side) against the oracle's, the first one of
+  its literal context scan; the Horn route builds its own, and only its
+  verdict is compared,
 * decide_rel_strong against the unary-context signature (alphabets of at
   most two atoms),
 * the Horn deciders against the generic enumerator on Horn pairs,
@@ -80,6 +84,11 @@ def near_program(p: Program, q: Program, rng: random.Random, atoms: int) -> Prog
     return Program(frozenset(rules), p.universe)
 
 
+def witness_key(v):
+    w = v.witness
+    return None if w is None else (w.context.rules, w.distinguishing, w.side)
+
+
 def candidate_pairs(a: int, over: int):
     """Every pair (x, y) over ``over`` with x = y or x strictly inside y ∩ a."""
     for y in submasks(over):
@@ -105,11 +114,15 @@ def main(argv=None) -> int:
         p, q, uni, rng = make_pair(seed, args.atoms, args.max_rules)
         over = uni.full_mask
         a = rng.randint(0, over)
-        uniform = decide_rel_uniform(p, q, a, method="generic").equivalent
-        checks += 1
-        if uniform != brute_force_oracle(p, q, a, "uniform").equivalent:
+        v, oracle = decide_rel_uniform(p, q, a, method="generic"), brute_force_oracle(p, q, a, "uniform")
+        uniform = v.equivalent
+        checks += 2
+        if uniform != oracle.equivalent:
             disagreements += 1
             print(f"uniform disagreement at seed {seed}, alphabet {uni.fmt(a)}")
+        if witness_key(v) != witness_key(oracle):
+            disagreements += 1
+            print(f"uniform witness disagreement at seed {seed}, alphabet {uni.fmt(a)}")
         if a == over:
             checks += 1
             if uniform != decide_uniform(p, q).equivalent:
@@ -122,7 +135,7 @@ def main(argv=None) -> int:
             near.append(shift_one(p, random.Random(f"shift {seed}").choice(disjunctive)))
         arng = random.Random(f"near alphabet {seed}")
         for nq in near:
-            checks += 5
+            checks += 7
             if decide_strong(p, nq).equivalent != (_program_se(p, over) == _program_se(nq, over)):
                 disagreements += 1
                 print(f"near-pair strong disagreement at seed {seed}")
@@ -130,15 +143,23 @@ def main(argv=None) -> int:
                 disagreements += 1
                 print(f"near-pair uniform disagreement at seed {seed}")
             na, small = arng.randint(0, over), arng.choice([m for m in submasks(over) if m.bit_count() <= 2])
-            if decide_rel_uniform(p, nq, na).equivalent != brute_force_oracle(p, nq, na, "uniform").equivalent:
+            v, oracle = decide_rel_uniform(p, nq, na), brute_force_oracle(p, nq, na, "uniform")
+            if v.equivalent != oracle.equivalent:
                 disagreements += 1
                 print(f"near-pair rel-uniform disagreement at seed {seed}, alphabet {uni.fmt(na)}")
+            if v.method != "horn" and witness_key(v) != witness_key(oracle):
+                disagreements += 1
+                print(f"near-pair rel-uniform witness disagreement at seed {seed}, alphabet {uni.fmt(na)}")
             if decide_rel_strong(p, nq, small).equivalent != (unary_signature(p, small, over) == unary_signature(nq, small, over)):
                 disagreements += 1
                 print(f"near-pair rel-strong disagreement at seed {seed}, alphabet {uni.fmt(small)}")
-            if decide_ordinary(p, nq).equivalent != brute_force_oracle(p, nq, 0, "ordinary").equivalent:
+            v, oracle = decide_ordinary(p, nq), brute_force_oracle(p, nq, 0, "ordinary")
+            if v.equivalent != oracle.equivalent:
                 disagreements += 1
                 print(f"near-pair ordinary disagreement at seed {seed}")
+            if witness_key(v) != witness_key(oracle):
+                disagreements += 1
+                print(f"near-pair ordinary witness disagreement at seed {seed}")
 
         small = rng.choice([m for m in submasks(over) if m.bit_count() <= 2])
         checks += 1

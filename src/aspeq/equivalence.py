@@ -2,9 +2,10 @@
 
 ``decide`` serves all five modes as rows of relativized equivalence:
 ordinary at A = ∅, strong and uniform at A = var(p ∪ q), each compared
-by the row search ``semantics._first_difference``.
-``decide_ordinary``, ``decide_rel_*`` and ``se.decide_strong``/
-``decide_uniform`` are wrappers of it.
+by the row search ``semantics._differences``, which yields the Ys where
+the rows differ.  The strong witness is built at the first; the uniform
+witness tries fact sets at those Ys only.  ``decide_ordinary``,
+``decide_rel_*`` and ``se.decide_strong``/``decide_uniform`` wrap it.
 
 A ``Verdict`` carries the mode, the alphabet actually used (always
 intersected with the atoms of the two programs), and — exactly when the
@@ -17,10 +18,11 @@ returned.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from .semantics import (
-    _first_difference,
+    _differences,
     _horn_closure,
     _row,
     check_capacity,
@@ -69,12 +71,13 @@ class Verdict(_Record):
         return (self.equivalent, self.mode, self.alphabet, self.witness)
 
 
-def _check_witness(p: Program, q: Program, w: Witness) -> None:
+def _check_witness(p: Program, q: Program, w: Witness) -> Witness:
     keeper, loser = (p, q) if w.side == "left" else (q, p)
     for side, want in ((keeper | w.context, True), (loser | w.context, False)):
         check_capacity(side.var)
         if is_answer_set(w.distinguishing, side) != want:
             raise VerificationError("witness failed re-verification")
+    return w
 
 
 def _shared(p: Program, q: Program) -> None:
@@ -92,13 +95,11 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     "rel-strong" and "rel-uniform" rows at A = var(p ∪ q).  These three
     are always enumerated and ignore ``a``.  The relativized rows use
     ``a & var(p ∪ q)`` (default: every atom) and ``method``: "generic"
-    compares the A-SE-models (A-UE-models for rel-uniform) up to the least
-    Y where they differ, where the strong kinds' witness is built; it
-    reads only where an unshared rule can tell them apart.
-    "horn" runs the fact-extension decision for Horn programs, and "auto"
-    takes "horn" when both are Horn and "generic" otherwise.  ``method`` is
-    validated in every mode.
-    """
+    runs the row search over the A-SE-models (A-UE-models for the uniform
+    kinds), whose first Y bears the strong kinds' witness; the uniform
+    witness resumes the search.  "horn" runs the fact-extension decision
+    for Horn programs, and "auto" takes "horn" when both are Horn and
+    "generic" otherwise.  ``method`` is validated in every mode."""
     _shared(p, q)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
@@ -114,10 +115,11 @@ def decide(p: Program, q: Program, mode: str, a: Optional[int] = None, method: s
     else:
         a = 0 if mode == "ordinary" else over
     strong = not mode.endswith("uniform")
-    y = _first_difference(p, q, a, over, maximal=not strong)
+    ys = _differences(p, q, a, over, maximal=not strong)
+    y = next(ys, None)
     if y is None:
         return Verdict(True, mode, a, None, route)
-    w = _strong_witness(p, q, a, y) if strong else build_uniform_witness(p, q, a)
+    w = _strong_witness(p, q, a, y) if strong else _uniform_witness(p, q, a, chain([y], ys))
     return Verdict(False, mode, a, w, route)
 
 
@@ -222,21 +224,38 @@ def _strong_witness(p: Program, q: Program, a: int, y: int) -> Witness:
             rules = {Rule(1 << i, 0, 0) for i in bits(x & a)}
             rules |= {Rule(1 << i, 1 << j, 0) for i in bits(grow) for j in bits(grow) if i != j}
             ctx = Program(frozenset(rules), p.universe)
-        w = Witness(ctx, y, side)
-        _check_witness(p, q, w)
-        return w
+        return _check_witness(p, q, Witness(ctx, y, side))
     raise AssertionError(f"no witness at the first differing Y {y}")
 
 
 def build_uniform_witness(p: Program, q: Program, a: int) -> Witness:
-    """Smallest fact set over ``a`` on which the answer sets differ."""
+    """Smallest fact set over ``a`` on which the answer sets differ, with
+    the least answer set of one side only; ``AssertionError`` if none.  A
+    fact outside var(p ∪ q) joins every answer set on both sides, so the
+    search runs at ``a & var(p ∪ q)`` from the row search's Ys."""
     _shared(p, q)
     check_capacity(a)
-    w = _first_witness(p, q, (facts_program(f, p.universe) for f in _fact_contexts(a)))
-    if w is None:
-        raise AssertionError("no witness found; programs appear uniformly equivalent")
-    _check_witness(p, q, w)
-    return w
+    var = p.var | q.var
+    return _uniform_witness(p, q, a & var, _differences(p, q, a & var, var, True))
+
+
+def _uniform_witness(p: Program, q: Program, a: int, ys: Iterator[int]) -> Witness:
+    """The first F of ``_fact_contexts(a)`` with the least Y ⊇ F that is an
+    answer set of one side plus F only, tried at ``ys``, where the A-UE
+    rows differ (Y is an answer set of P ∪ F iff P's row at Y is not empty
+    and no X ≠ Y in it contains F).  F = ∅ reads ``ys`` lazily; each later
+    F reads only the Ys that F = ∅ read."""
+    seen: list[int] = []
+    for f in _fact_contexts(a):
+        ctx = facts_program(f, p.universe)
+        pc, qc = p | ctx, q | ctx
+        for y in (y for y in seen if not f & ~y) if f else ys:
+            if not f:
+                seen.append(y)
+            left = is_answer_set(y, pc)
+            if left != is_answer_set(y, qc):
+                return _check_witness(p, q, Witness(ctx, y, "left" if left else "right"))
+    raise AssertionError("no witness found; programs appear uniformly equivalent")
 
 
 def decide_horn_rel(p: Program, q: Program, a: int, mode: str = "rel-uniform") -> Verdict:
@@ -260,8 +279,7 @@ def decide_horn_rel(p: Program, q: Program, a: int, mode: str = "rel-uniform") -
         if lp != lq:
             d = lp if lp is not None else lq
             w = Witness(facts_program(f, p.universe), d, "left" if lp is not None else "right")
-            _check_witness(p, q, w)
-            return Verdict(False, mode, a, w, "horn")
+            return Verdict(False, mode, a, _check_witness(p, q, w), "horn")
     return Verdict(True, mode, a, None, "horn")
 
 

@@ -9,10 +9,11 @@ models are defined: Y is an A-minimal model of the reduct and the X are
 alphabet parts below it.  It is read from one truth table, one bit per
 X ⊆ Y, of the Xs modelling the reduct (``_row_table``), at every
 alphabet.  The listings join the rows of every Y in ascending order.
-``_first_difference``, the one row search, finds the first Y at which two
-programs' rows differ, building the tables only where an unshared rule
-can tell them apart.  ``decide``, SE-/UE-consequence and
-``check_shift_safe`` all ask it.
+``_differences``, the one row search, yields each Y at which two
+programs' rows differ, ascending, building the tables only where an
+unshared rule can tell them apart.  ``decide`` and its uniform witness
+read it lazily; SE-/UE-consequence and ``check_shift_safe`` ask its
+first Y (``_first_difference``).
 """
 
 from __future__ import annotations
@@ -164,15 +165,15 @@ def _row(p: Program, a: int, y: int, maximal: bool = False) -> list[int]:
     return [x for k, x in enumerate(submasks(y)) if t >> k & 1]
 
 
-def _first_difference(p: Program, q: Program, a: int, over: int, maximal: bool) -> Optional[int]:
-    """The least Y over ``over`` at which the rows of ``p`` and ``q`` (the
-    A-SE-models, or with ``maximal`` the A-UE-models) differ, or None.
+def _differences(p: Program, q: Program, a: int, over: int, maximal: bool) -> Iterator[int]:
+    """Every Y over ``over`` at which the rows of ``p`` and ``q`` (the
+    A-SE-models, or with ``maximal`` the A-UE-models) differ, ascending.
 
     A row at Y reads only whether Y models the program and which X ⊆ Y
     model its reduct, so only the rules that the programs do not share
     tell the rows apart.  A Y is skipped when it fails a shared rule, fails
     both programs, or satisfies the body of no unshared rule; a Y ⊆ A
-    modelling one program only is returned at once.  Elsewhere, tables
+    modelling one program only is yielded at once.  Elsewhere, tables
     with one bit per X ⊆ Y hold F, the Xs failing a live shared rule, and
     F_s, those failing a live unshared rule of side s.  Where the models
     ~(F | F_p) and ~(F | F_q) differ, their ``_row_table`` are compared.
@@ -180,14 +181,15 @@ def _first_difference(p: Program, q: Program, a: int, over: int, maximal: bool) 
     check_capacity(over)
     shared, *own = ([r for r in rs if not r.pos & r.head] for rs in (p.rules & q.rules, p.rules - q.rules, q.rules - p.rules))
     if not (own[0] or own[1]):  # the same rules give the same rows
-        return None
+        return
     coord: list[int] = []
     for y in submasks(over):
         held = [all(r.pos & ~y or r.neg & y or r.head & y for r in rules) for rules in (shared, *own)]
         if not (held[0] and (held[1] or held[2])):
             continue
         if held[1] != held[2] and not y & ~a:  # Y ⊆ A is A-minimal: one row holds Y, the other is empty
-            return y
+            yield y
+            continue
         red, *live = (_live(rules, y) for rules in (shared, *own))
         if not (live[0] or live[1]):  # then both hold Y, and their reducts agree below it
             continue
@@ -195,8 +197,12 @@ def _first_difference(p: Program, q: Program, a: int, over: int, maximal: bool) 
         if m_p != m_q:  # else the rows agree too
             off = project(y & ~a, positions)
             if _row_table(m_p, tables, off, maximal) != _row_table(m_q, tables, off, maximal):
-                return y
-    return None
+                yield y
+
+
+def _first_difference(p: Program, q: Program, a: int, over: int, maximal: bool) -> Optional[int]:
+    """The least Y of ``_differences``, or None."""
+    return next(_differences(p, q, a, over, maximal), None)
 
 
 def _failing(rules: list[tuple[int, int]], at: dict[int, int], full: int) -> int:

@@ -184,14 +184,14 @@ def per_x_maximal_row(p: Program, a: int, y: int) -> list[int]:
     return [x for i, x in enumerate(row[:-1]) if not any(not x & ~x2 for x2 in row[i + 1:-1])] + row[-1:]
 
 
-def row_search(p: Program, q: Program, a: int, over: int, maximal: bool) -> Optional[int]:
-    """The least Y over ``over`` at which the per-X rows (the maximal ones
-    with ``maximal``) differ between ``p`` and ``q``, from both programs'
-    rows at every Y.  A reference for ``_first_difference``, which reads
-    only the Ys that a rule the programs do not share can tell apart, and
-    each Y's Xs as one table."""
+def row_differences(p: Program, q: Program, a: int, over: int, maximal: bool) -> list[int]:
+    """Every Y over ``over``, ascending, at which the per-X rows (the
+    maximal ones with ``maximal``) differ between ``p`` and ``q``, from both
+    programs' rows at every Y.  A reference for ``_differences`` (its first
+    Y for ``_first_difference``), which reads only the Ys that a rule the
+    programs do not share can tell apart, and each Y's Xs as one table."""
     row = per_x_maximal_row if maximal else per_x_row
-    return next((y for y in submasks(over) if row(p, a, y) != row(q, a, y)), None)
+    return [y for y in submasks(over) if row(p, a, y) != row(q, a, y)]
 
 
 def se_consequence_listing(p: Program, r: Rule) -> bool:

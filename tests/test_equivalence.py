@@ -282,6 +282,59 @@ def test_decide_horn_bounded_uniform_witness_gap_regression():
     assert decide_horn_rel(p, q, a).equivalent
 
 
+def _literal_uniform_witness(p, q, a):
+    # the definition: every fact set over `a`, smallest first, each read
+    # over every Y up to the first answer set of one side only
+    return _first_witness(p, q, (facts_program(f, p.universe) for f in _fact_contexts(a)))
+
+
+def _check_uniform_witness(p, q, a):
+    expect = _literal_uniform_witness(p, q, a)
+    assert decide(p, q, "rel-uniform", a, "generic").witness == expect, (p.rules, q.rules, a)
+    if expect is None:
+        with pytest.raises(AssertionError):
+            build_uniform_witness(p, q, a)
+    else:
+        assert build_uniform_witness(p, q, a) == expect, (p.rules, q.rules, a)
+    return expect
+
+
+@pytest.mark.parametrize("atoms", range(3, 9))
+def test_uniform_witness_matches_the_literal_fact_set_scan(atoms):
+    # at the full alphabet, ∅, a partial one and one reaching past
+    # var(p ∪ q), where the search runs at a & var(p ∪ q)
+    for seed in range(30):
+        p, q, uni, rng = random_pair(100 * atoms + seed, atoms=atoms, max_rules=atoms)
+        over = p.var | q.var
+        past = over | 1 << uni.intern("z")
+        for a in (over, 0, rng.randint(0, over) & over, past):
+            _check_uniform_witness(p, q, a)
+        assert decide(p, q, "uniform").witness == _literal_uniform_witness(p, q, over)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_uniform_witness_with_facts_matches_the_literal_scan(k):
+    # (b+c): no answer set tells the chain from the chain with `:- x, y` at
+    # its end; the smallest separating fact set is not empty
+    p, q, uni = pair(chain(k), f"{chain(k)} :- x{k - 1}, y{k - 1}.")
+    over = uni.full_mask
+    w = _check_uniform_witness(p, q, over)
+    assert w is not None and w.context.rules
+    assert decide(p, q, "uniform").witness == w
+    _check_uniform_witness(p, q, uni.mask_of([f"x{k - 1}", f"y{k - 1}"]))
+
+
+def test_decide_horn_bounded_witness_is_the_literal_scan():
+    found = 0
+    for seed in range(60):
+        p, q, uni, rng = random_pair(seed, atoms=5, max_rules=5, require=["horn"])
+        a = rng.randint(0, uni.full_mask)
+        v = decide_horn_bounded(p, q, a)
+        assert v.witness == _literal_uniform_witness(p, q, a), (p.rules, q.rules, a)
+        found += v.witness is not None
+    assert found > 10
+
+
 def test_brute_force_oracle_modes():
     p, q, uni = pair("a | b.", "a :- not b. b :- not a.")
     ab = uni.full_mask

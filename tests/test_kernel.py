@@ -1,22 +1,22 @@
 """The per-Y rows under the SE-, UE-, A-SE- and A-UE-model listings,
 checked against the per-pair definitions on the exhaustive families, and
-the search for the first differing row against the per-X row search of
-``conftest``, at the full, the empty and partial alphabets."""
+the search for the differing rows against the per-X rows of ``conftest``,
+at the full, the empty and partial alphabets."""
 
 import random
 import tracemalloc
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
 
-from aspeq.equivalence import _first_difference, decide
+from aspeq.equivalence import decide
 from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.relativized import ASEPair, ase_models, aue_models, is_ase_model, valid_shape
 from aspeq.se import is_se_model, se_models, ue_models
-from aspeq.semantics import CapacityError, _ase_pairs, _row, _strict_down, submasks
+from aspeq.semantics import CapacityError, _ase_pairs, _differences, _first_difference, _row, _strict_down, submasks
 from aspeq.syntax import Program, Rule, Universe, facts_program
 
-from conftest import chain, pair, per_x_maximal_row, per_x_row, prog, random_pair, row_search
+from conftest import chain, pair, per_x_maximal_row, per_x_row, prog, random_pair, row_differences
 
 # the exhaustive sweeps' families: 2 atoms with up to two rules, 3 atoms
 # with up to one
@@ -125,6 +125,23 @@ def test_search_matches_the_per_x_row_search_on_the_families(atoms, max_rules):
                 assert got == expect, (progs[i].rules, progs[j].rules, a, maximal)
 
 
+@pytest.mark.parametrize("atoms,max_rules,stride", [(2, 2, 23), (3, 1, 3)])
+def test_differences_are_every_differing_y_on_the_families(atoms, max_rules, stride):
+    # every Y where the per-X rows differ, ascending, in both argument
+    # orders, at the full alphabet, ∅ and one partial alphabet; strided,
+    # since reading every Y costs more than stopping at the first
+    over, progs = _family(atoms, max_rules)
+    ys = list(submasks(over))
+    for a in (over, 0, over & ~1):
+        rows = [[(per_x_row(p, a, y), per_x_maximal_row(p, a, y)) for y in ys] for p in progs]
+        for i, j in islice(combinations(range(len(progs)), 2), 0, None, stride):
+            for maximal in (False, True):
+                expect = [y for y, rp, rq in zip(ys, rows[i], rows[j]) if rp[maximal] != rq[maximal]]
+                for first, second in ((i, j), (j, i)):
+                    got = list(_differences(progs[first], progs[second], a, over, maximal))
+                    assert got == expect, (progs[first].rules, progs[second].rules, a, maximal)
+
+
 def _random_rule(rng: random.Random, n: int) -> Rule:
     # biased towards the special shapes: facts, constraints, tautologies
     # (head ∩ pos ≠ ∅) and rules whose body is inconsistent (pos ∩ neg ≠ ∅)
@@ -170,13 +187,16 @@ def _split(p: Program, a: int) -> Program:
 
 
 def _check_against_row_search(p: Program, q: Program, *alphabets: int) -> None:
-    # both rows, both argument orders, at the full alphabet and at `alphabets`
+    # every differing Y and the first, both rows, both argument orders, at
+    # the full alphabet and at `alphabets`
     over = p.var | q.var
     for a in (over, *alphabets):
         for maximal in (False, True):
-            expect = row_search(p, q, a, over, maximal)
+            expect = row_differences(p, q, a, over, maximal)
             for first, second in ((p, q), (q, p)):
-                assert _first_difference(first, second, a, over, maximal) == expect, (first.rules, second.rules, a, maximal)
+                case = (first.rules, second.rules, a, maximal)
+                assert list(_differences(first, second, a, over, maximal)) == expect, case
+                assert _first_difference(first, second, a, over, maximal) == next(iter(expect), None), case
 
 
 def _partial(rng: random.Random, over: int) -> int:
@@ -238,8 +258,12 @@ def test_search_matches_the_per_x_row_search_on_structured_families(family, k):
     ("a | b. c :- a. d :- not c.", "a | b. c :- a. d :- not c. :- b, not d."),
     ("c. a | b :- c. a :- b.", "c. a :- c."),  # at Y = {a, c} the live head holds b, outside Y
     ("c. a | b :- c.", "c. a :- c."),
+    # at A = {b}, Y = {a, b}: pulling X = {a} down to ∅ must clear a's
+    # coordinate, or {a}, no part of A, stays in P's row, and the equal
+    # rows read as different
+    ("a :- b.", "a :- b. b :- a."),
 ], ids=["one-atom", "shared-tautology", "constraint", "constraint-with-negation",
-        "head-outside-equal", "head-outside"])
+        "head-outside-equal", "head-outside", "projection-clears"])
 def test_search_matches_the_per_x_row_search_on_table_edge_cases(text_p, text_q):
     p, q, uni = pair(text_p, text_q)
     _check_against_row_search(p, q, *submasks(uni.full_mask))
