@@ -201,9 +201,14 @@ def build_strong_witness(p: Program, q: Program, a: int) -> Witness:
     second, which ``_check_witness`` re-verifies.  Raises
     ``AssertionError`` when the listings agree.
     """
-    w = decide(p, q, "rel-strong", a, "generic").witness
+    return _generic_witness(p, q, "rel-strong", a, "strongly")
+
+
+def _generic_witness(p: Program, q: Program, mode: str, a: int, kind: str) -> Witness:
+    # the witness of `decide`'s generic route in `mode`; `kind` names the equivalence in the error
+    w = decide(p, q, mode, a, "generic").witness
     if w is None:
-        raise AssertionError("no witness found; programs appear strongly equivalent")
+        raise AssertionError(f"no witness found; programs appear {kind} equivalent")
     return w
 
 
@@ -229,14 +234,11 @@ def _strong_witness(p: Program, q: Program, a: int, y: int) -> Witness:
 
 
 def build_uniform_witness(p: Program, q: Program, a: int) -> Witness:
-    """Smallest fact set over ``a`` on which the answer sets differ, with
-    the least answer set of one side only; ``AssertionError`` if none.  A
-    fact outside var(p ∪ q) joins every answer set on both sides, so the
-    search runs at ``a & var(p ∪ q)`` from the row search's Ys."""
-    _shared(p, q)
-    check_capacity(a)
-    var = p.var | q.var
-    return _uniform_witness(p, q, a & var, _differences(p, q, a & var, var, True))
+    """The witness of ``decide(p, q, "rel-uniform", a, "generic")``: the
+    smallest fact set over ``a`` on which the answer sets differ, with the
+    least answer set of one side only, searched at ``a & var(p ∪ q)`` (a fact
+    outside joins every answer set on both sides); ``AssertionError`` if none."""
+    return _generic_witness(p, q, "rel-uniform", a, "uniformly")
 
 
 def _uniform_witness(p: Program, q: Program, a: int, ys: Iterator[int]) -> Witness:

@@ -14,6 +14,7 @@ those SE-models by definition (``_se_set``), not through the rows that
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache, partial
 from random import Random
 from typing import Callable, Collection, Iterable, Optional
@@ -22,7 +23,7 @@ from .classify import classify
 from .equivalence import unary_rules
 from .relativized import a_minimal_models, ase_models, aue_models
 from .se import se_models, ue_models
-from .semantics import answer_sets, check_capacity, satisfies, submasks
+from .semantics import CapacityError, _checked_over, answer_sets, satisfies, submasks
 from .syntax import Program, Rule, Universe, _Record, bits, project
 from .transforms import s_r, shift_rule
 
@@ -148,11 +149,8 @@ def unary_classes(alpha_size: int) -> tuple[frozenset, ...]:
 
 
 def sm_from_se(pairs: Iterable[tuple[int, int]]) -> frozenset[int]:
-    """Answer sets read off an SE-model set."""
-    by_y: dict[int, set[int]] = {}
-    for x, y in pairs:
-        by_y.setdefault(y, set()).add(x)
-    return frozenset(y for y, xs in by_y.items() if y in xs and len(xs) == 1)
+    """Answer sets read off an SE-model set: ``sm_under_classes`` at A = ∅."""
+    return sm_under_classes(pairs, 0, fact_classes(0))[0]
 
 
 def sm_under_classes(pairs: Iterable[tuple[int, int]], a: int, classes: Iterable[frozenset]) -> tuple:
@@ -173,10 +171,7 @@ def sm_under_classes(pairs: Iterable[tuple[int, int]], a: int, classes: Iterable
 
 def _program_se(p: Program, over: int) -> frozenset[tuple[int, int]]:
     # `_se_set` of p, with the checks of `se_models`
-    if p.var & ~over:
-        raise ValueError("`over` must cover var(p)")
-    check_capacity(over)
-    return _se_set(p.rules, over)
+    return _se_set(p.rules, _checked_over(p, over))
 
 
 def uniform_signature(p: Program, a: int, over: int) -> tuple:
@@ -215,8 +210,8 @@ class SweepReport(_Record):
 
 
 def exhaustive_sweep(atom_count: int, prop: str, max_rules: Optional[int] = None) -> SweepReport:
-    """Evaluate a registered property over the exhaustive program family,
-    stopping at 20 counterexamples."""
+    """Evaluate a registered property over the exhaustive program family
+    (``CapacityError`` past 667 programs), stopping at 20 counterexamples."""
     if not 1 <= atom_count <= 3:
         raise ValueError("exhaustive sweeps support 1 to 3 atoms")
     if max_rules is not None and max_rules < 0:
@@ -240,6 +235,10 @@ def exhaustive_sweep(atom_count: int, prop: str, max_rules: Optional[int] = None
 def _setup(atom_count: int, max_rules: int):
     uni = Universe(ATOM_NAMES[:atom_count])
     over = uni.full_mask
+    n = len(family_rules(over))
+    size = sum(math.comb(n, k) for k in range(max_rules + 1))
+    if size > 667:  # the largest default family: 2 atoms, 2 rules
+        raise CapacityError(f"{size} family programs exceed the sweep cap of 667")
     return uni, over, family_programs(uni, over, max_rules)
 
 

@@ -2,28 +2,27 @@
 
 An A-SE-interpretation is a pair (X, Y) with X = Y or X a strict subset of
 Y ∩ A.  ``ase_models`` and ``aue_models`` list the per-Y rows
-(``semantics._row``, with ``maximal`` for A-UE) as ``ASEPair``.
-Membership tests come in a generic form and, for normal and
-head-cycle-free programs, in polynomial Horn-based forms that decide a
-single pair.
+(``semantics._row``, with ``maximal`` for A-UE) as ``ASEPair``; A-minimality
+is ``semantics._y_is_a_minimal_for_reduct``.  Membership tests come in a
+generic form and, for normal and head-cycle-free programs, in polynomial
+Horn-based forms that decide a single pair.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .semantics import (
     _ase_pairs,
+    _y_is_a_minimal_for_reduct,
     classical_models,
     horn_least_model,
     horn_satisfiable,
     is_model,
-    proper_submasks,
     reduct,
-    satisfies,
     submasks,
 )
-from .syntax import Program, Rule, _Record, bits
+from .syntax import Program, _Record, bits
 from .transforms import is_hcf, shift_program
 
 
@@ -47,12 +46,6 @@ def valid_shape(x: int, y: int, a: int) -> bool:
         return True
     ya = y & a
     return (x & ~ya) == 0 and x != ya
-
-
-def _y_is_a_minimal_for_reduct(red: Iterable[Rule], y: int, a: int) -> bool:
-    # no y' strictly below y agreeing with y on `a` satisfies every rule of `red`
-    fixed = y & a
-    return not any(all(satisfies(fixed | t, r) for r in red) for t in proper_submasks(y & ~a))
 
 
 def is_ase_model(p: Program, pair: ASEPair) -> bool:

@@ -3,7 +3,9 @@ the per-Y rows under the SE-, UE-, A-SE- and A-UE-model listings.
 
 All enumeration is exhaustive over bit masks and guarded by a capacity cap
 of 24 atoms; every function here is pure.  ``is_answer_set`` asks the
-answer-set question of one interpretation, and its callers check the cap.
+answer-set question of one interpretation, and its callers check the cap;
+its "no smaller model" scan, ``_y_is_a_minimal_for_reduct``, is also the
+one under ``minimal_models`` and the relativized A-minimality checks.
 A row lists the X of the A-SE-models (X, Y) of a program at one Y, as the
 models are defined: Y is an A-minimal model of the reduct and the X are
 alphabet parts below it.  It is read from one truth table, one bit per
@@ -79,21 +81,29 @@ def reduct(p: Program, y: int) -> Program:
     return Program(frozenset(out), p.universe)
 
 
-def classical_models(p: Program, over: Optional[int] = None) -> list[int]:
-    """All models of ``p`` among subsets of ``over`` (default var(p))."""
-    if over is None:
-        over = p.var
+def _checked_over(p: Program, over: int) -> int:
+    # `over` once it covers var(p) and fits the capacity cap
     if p.var & ~over:
         raise ValueError("`over` must cover var(p)")
     check_capacity(over)
+    return over
+
+
+def classical_models(p: Program, over: Optional[int] = None) -> list[int]:
+    """All models of ``p`` among subsets of ``over`` (default var(p))."""
+    over = _checked_over(p, p.var if over is None else over)
     rules = list(p.rules)
     return [i for i in submasks(over) if all(satisfies(i, r) for r in rules)]
 
 
 def minimal_models(p: Program, over: Optional[int] = None) -> list[int]:
-    models = classical_models(p, over)
-    model_set = set(models)
-    return [y for y in models if not any(x in model_set for x in proper_submasks(y))]
+    return [y for y in classical_models(p, over) if _y_is_a_minimal_for_reduct(p.rules, y, 0)]
+
+
+def _y_is_a_minimal_for_reduct(red: Iterable[Rule], y: int, a: int) -> bool:
+    # no y' strictly below y agreeing with y on `a` satisfies every rule of `red`
+    fixed = y & a
+    return not any(all(satisfies(fixed | t, r) for r in red) for t in proper_submasks(y & ~a))
 
 
 def is_answer_set(y: int, p: Program) -> bool:
@@ -104,7 +114,7 @@ def is_answer_set(y: int, p: Program) -> bool:
     red = [r for r in p.rules if not (r.neg & y)]
     if not all(satisfies(y, r) for r in red):
         return False
-    return not any(all(satisfies(x, r) for r in red) for x in proper_submasks(y))
+    return _y_is_a_minimal_for_reduct(red, y, 0)
 
 
 def answer_sets(p: Program) -> list[int]:
@@ -232,10 +242,7 @@ def _ase_pairs(p: Program, a: int, over: int, maximal: bool = False) -> list[tup
     """The pairs ``(x, y)`` of the rows of ``p`` over ``over`` in ``(y, x)``
     order: the A-SE-models, or with ``maximal`` the A-UE-models.
     ``over`` must cover var(p); it and the capacity are checked here."""
-    if p.var & ~over:
-        raise ValueError("`over` must cover var(p)")
-    check_capacity(over)
-    return [(x, y) for y in submasks(over) for x in _row(p, a, y, maximal)]
+    return [(x, y) for y in submasks(_checked_over(p, over)) for x in _row(p, a, y, maximal)]
 
 
 def is_horn(p: Program) -> bool:

@@ -15,13 +15,13 @@ ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
+    (?P<skip>\s+|%[^\n]*)
   | (?P<arrow>:-)
   | (?P<pipe>\|)
   | (?P<comma>,)
   | (?P<dot>\.)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -221,26 +221,26 @@ def parse_program(text: str, universe: Optional[Universe] = None) -> Program:
     interned only once the whole text has parsed, so a ``ParseError``
     leaves ``universe`` as it was.
     """
-    tokens = [*_tokenize(text), ("end", "", *_end_pos(text))]
+    tokens = _tokenize(text)
     parsed = []  # per rule, its atoms as (part, name) in text order; part 0 head, 1 pos, 2 neg
     i = 0
     while tokens[i][0] != "end":
         atoms = []
         if tokens[i][0] == "word":
-            atoms.append((0, _atom_name(tokens[i])))
+            atoms.append((0, _atom_name(tokens[i], text)))
             i += 1
             while tokens[i][0] == "pipe":
-                atoms.append((0, _atom_name(tokens[i + 1])))
+                atoms.append((0, _atom_name(tokens[i + 1], text)))
                 i += 2
         more = tokens[i][0] == "arrow"
         while more:  # tokens[i] is the ":-" or "," before a body literal
             neg = tokens[i + 1][:2] == ("word", "not")
             i += 1 + neg
-            atoms.append((1 + neg, _atom_name(tokens[i])))
+            atoms.append((1 + neg, _atom_name(tokens[i], text)))
             i += 1
             more = tokens[i][0] == "comma"
         if tokens[i][0] != "dot":
-            raise ParseError("expected dot", *tokens[i][2:])
+            raise ParseError("expected dot", *_line_col(text, tokens[i][2]))
         i += 1
         parsed.append(atoms)
     uni = universe if universe is not None else Universe()
@@ -253,39 +253,31 @@ def parse_program(text: str, universe: Optional[Universe] = None) -> Program:
     return Program(frozenset(rules), uni)
 
 
-def _atom_name(tok) -> str:
-    kind, name, line, col = tok
+def _atom_name(tok, text: str) -> str:
+    kind, name, at = tok
     if kind != "word":
-        raise ParseError("expected atom", line, col)
+        raise ParseError("expected atom", *_line_col(text, at))
     if name == "not" or not ATOM_RE.fullmatch(name):
-        raise ParseError(f"invalid atom token {name!r}", line, col)
+        raise ParseError(f"invalid atom token {name!r}", *_line_col(text, at))
     return name
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    # (kind, value, offset) per token, then ("end", "", len(text))
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            yield (kind, value, line, col)
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        i = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", *_line_col(text, m.start()))
+        if kind != "skip":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
-def _end_pos(text: str) -> tuple[int, int]:
-    line = text.count("\n") + 1
-    col = len(text) - text.rfind("\n")
-    return line, col
+def _line_col(text: str, at: int) -> tuple[int, int]:
+    """The 1-based line and column of offset ``at`` of ``text``."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 def rule_to_str(r: Rule, universe: Universe) -> str:

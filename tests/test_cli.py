@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from aspeq import harness
 from aspeq.cli import main
 from aspeq.harness import PROPERTIES
 from aspeq.syntax import Universe, parse_program, render
@@ -187,6 +188,15 @@ def test_unreadable_input_is_a_usage_error(lp, tmp_path, capsys, argv):
         assert main([arg.format(bad=bad, ok=ok) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and bad in err and "Traceback" not in err
+
+
+def test_sweep_past_the_family_cap_exits_3(monkeypatch, capsys):
+    def unbuilt(*args):
+        raise AssertionError("family built past the cap")
+
+    monkeypatch.setattr(harness, "family_programs", unbuilt)
+    assert main(["sweep", "--property", "hierarchy", "--atoms", "2", "--max-rules", "3"]) == 3
+    assert capsys.readouterr().err == "capacity exceeded: 7807 family programs exceed the sweep cap of 667\n"
 
 
 def test_sweep_rejects_bad_bounds(capsys):

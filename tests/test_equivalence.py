@@ -30,7 +30,7 @@ from aspeq.equivalence import (
 from aspeq.harness import ATOM_NAMES, _program_se, _setup, family_programs, uniform_signature
 from aspeq.relativized import ase_models, aue_models
 from aspeq.semantics import CapacityError, answer_sets, is_horn, submasks
-from aspeq.syntax import Program, Rule, Universe, bits, facts_program
+from aspeq.syntax import Program, Rule, Universe, bits, facts_program, parse_program
 
 from conftest import chain, first_witness_two_lists, pair, prog, random_pair, strong_witness_reference
 
@@ -471,6 +471,16 @@ def test_witness_builders_raise_on_equivalent_input():
         build_strong_witness(p, q, uni.full_mask)
     with pytest.raises(AssertionError):
         build_uniform_witness(p, q, uni.full_mask)
+
+
+def test_witness_builders_search_var_p_q_at_an_alphabet_past_the_cap():
+    # a 2-atom pair in a 25-atom universe: only the alphabet is past the cap
+    uni = Universe(["a", "b", *(f"v{i}" for i in range(23))])
+    p, q, a = parse_program("a :- b.", uni), Program(frozenset(), uni), uni.full_mask
+    strong, uniform = (decide(p, q, mode, a, "generic").witness for mode in ("rel-strong", "rel-uniform"))
+    assert strong is not None and uniform is not None
+    assert build_strong_witness(p, q, a) == strong
+    assert build_uniform_witness(p, q, a) == uniform
 
 
 def test_deciders_agree_with_oracles_small():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aspeq.cli import main
-from aspeq.syntax import ParseError, Program, Rule, Universe, parse_program, render
+from aspeq.syntax import _TOKEN_RE, ParseError, Program, Rule, Universe, parse_program, render
 
 NAMES = ("a", "b", "c", "nota", "not_", "x_1", "zZ9", "n")
 # the characters the grammar gives a meaning to, plus a few it rejects
@@ -43,8 +43,28 @@ def test_random_text_parses_or_raises_parse_error_inside_it(text):
         lines = text.split("\n")
         assert 1 <= e.line <= len(lines)
         assert 1 <= e.col <= len(lines[e.line - 1]) + 1
+        # the position is the offending character, the start of the offending token, or the end
+        at = sum(len(s) + 1 for s in lines[:e.line - 1]) + e.col - 1
+        message = str(e).split(": ", 1)[1]
+        if message.startswith("unexpected character"):
+            assert message == f"unexpected character {text[at]!r}"
+        else:
+            assert at == len(text) or at in _token_starts(text)
+            if message.startswith("invalid atom token"):
+                assert message == f"invalid atom token {_TOKEN_RE.match(text, at).group()!r}"
         # a failed parse leaves the shared universe as it was
         assert uni.names == ["a", "nota"] and uni.index == {"a": 0, "nota": 1}
+
+
+def _token_starts(text):
+    # the offsets where a token other than whitespace or a comment begins
+    starts, i = set(), 0
+    while i < len(text):
+        m = _TOKEN_RE.match(text, i)
+        if not (m.group().isspace() or m.group().startswith("%")):
+            starts.add(i)
+        i = m.end()
+    return starts
 
 
 @pytest.fixture(scope="module")

@@ -169,6 +169,16 @@ def test_exhaustive_sweep_validation():
         exhaustive_sweep(2, "no-such-property")
 
 
+def test_oversized_sweep_family_fails_before_it_is_built(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("family built past the cap")
+
+    monkeypatch.setattr(harness, "family_programs", unbuilt)
+    # 2 atoms, at most 3 rules: 1 + 36 + 630 + 7140 programs, past the 667 of 2 rules
+    with pytest.raises(CapacityError, match="^7807 family programs exceed the sweep cap of 667$"):
+        exhaustive_sweep(2, "hierarchy", 3)
+
+
 # cases per property shape at 1, 2 and 3 atoms (default max_rules): family
 # programs, ordered pairs, ordered pairs of positive programs, family rules
 SWEEP_CASES = {1: (37, 1369, 121, 8), 2: (667, 444889, 6241, 36), 3: (113, 12769, 841, 112)}

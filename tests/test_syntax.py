@@ -77,6 +77,39 @@ def test_parse_errors_carry_position():
     assert uni.names == ["z"] and uni.index == {"z": 0}
 
 
+@pytest.mark.parametrize("text, message, line, col", [
+    # unexpected character: line 1, a later line, after a comment, after \r\n, the last character
+    ("a ; b.", "unexpected character ';'", 1, 3),
+    ("a.\nb :- c, 1.", "unexpected character '1'", 2, 9),
+    ("% x ; y\nb :- ;", "unexpected character ';'", 2, 6),
+    ("a.\r\nb :- é.", "unexpected character 'é'", 2, 6),
+    ("a.\nb.;", "unexpected character ';'", 2, 3),
+    # expected atom
+    ("a :- .", "expected atom", 1, 6),
+    ("a.\nb :- c, |.", "expected atom", 2, 9),
+    ("% c\na :- b, .", "expected atom", 2, 9),
+    ("a.\r\nb :- |.", "expected atom", 2, 6),
+    ("a.\nb :- not", "expected atom", 2, 9),
+    # invalid atom token
+    ("A.", "invalid atom token 'A'", 1, 1),
+    ("a.\nb :- not not.", "invalid atom token 'not'", 2, 10),
+    ("% c\nb | Zed.", "invalid atom token 'Zed'", 2, 5),
+    ("a.\r\nb :- c, _x.", "invalid atom token '_x'", 2, 9),
+    ("a.\nb :- B", "invalid atom token 'B'", 2, 6),
+    # expected dot
+    ("a b.", "expected dot", 1, 3),
+    ("a.\nb :- c d.", "expected dot", 2, 8),
+    ("% c\na | b c.", "expected dot", 2, 7),
+    ("a.\r\nb :- c :- d.", "expected dot", 2, 8),
+    ("a.\n% only\nb", "expected dot", 3, 2),
+    ("a. \r\n  b | c :- d, not e\r\n", "expected dot", 3, 1),
+])
+def test_parse_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert (str(e.value), e.value.line, e.value.col) == (f"{line}:{col}: {message}", line, col)
+
+
 def test_var_of():
     uni = Universe()
     p = parse_program("a | b.", uni)
