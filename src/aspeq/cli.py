@@ -84,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--property", default=None, choices=sorted(PROPERTIES),
                        help="the property to check (default: every property, in order)")
     sweep.add_argument("--atoms", type=int, default=2, choices=(1, 2, 3))
-    sweep.add_argument("--max-rules", type=int, default=None)
+    sweep.add_argument("--max-rules", type=int, default=None,
+                       help="the most rules per family program (default: 2 at up to 2 atoms, else 1); "
+                            "shift-subset and shift-difference check single rules and ignore it")
     _add_format_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -18,7 +18,7 @@ returned.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional
 
 from .semantics import (
@@ -138,9 +138,13 @@ def decide_rel_uniform(p: Program, q: Program, a: int, method: str = "auto") -> 
     return decide(p, q, "rel-uniform", a, method)
 
 
-def _fact_contexts(a: int) -> list[int]:
-    """The fact masks over ``a``, smallest first, equal sizes by mask."""
-    return sorted(submasks(a), key=lambda m: (m.bit_count(), m))
+def _fact_contexts(a: int) -> Iterator[int]:
+    """The fact masks over ``a``, smallest first, equal sizes by mask,
+    made lazily: the combinations of the atoms, highest first, come in
+    descending mask order, so each size's list is reversed."""
+    atoms = [1 << i for i in reversed(list(bits(a)))]
+    for k in range(len(atoms) + 1):
+        yield from reversed([sum(c) for c in combinations(atoms, k)])
 
 
 def _first_witness(p: Program, q: Program, contexts: Iterable[Program]) -> Optional[Witness]:

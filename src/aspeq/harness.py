@@ -211,7 +211,9 @@ class SweepReport(_Record):
 
 def exhaustive_sweep(atom_count: int, prop: str, max_rules: Optional[int] = None) -> SweepReport:
     """Evaluate a registered property over the exhaustive program family
-    (``CapacityError`` past 667 programs), stopping at 20 counterexamples."""
+    (``CapacityError`` past 667 programs), stopping at 20 counterexamples.
+    ``max_rules`` bounds the rules per family program; ``shift-subset`` and
+    ``shift-difference`` check each family rule alone and ignore it."""
     if not 1 <= atom_count <= 3:
         raise ValueError("exhaustive sweeps support 1 to 3 atoms")
     if max_rules is not None and max_rules < 0:

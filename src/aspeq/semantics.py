@@ -181,7 +181,11 @@ def _differences(p: Program, q: Program, a: int, over: int, maximal: bool) -> It
 
     A row at Y reads only whether Y models the program and which X ⊆ Y
     model its reduct, so only the rules that the programs do not share
-    tell the rows apart.  A Y is skipped when it fails a shared rule, fails
+    tell the rows apart.  A rule whose positive body meets its head or its
+    negative body holds at every Y and is dropped; each other rule becomes
+    a mask pos | neg | head and fails at Y exactly when Y ∩ mask = pos.  A
+    Y is skipped at its first failing shared rule, so only a model of the
+    shared rules tests the unshared ones; it is skipped too when it fails
     both programs, or satisfies the body of no unshared rule; a Y ⊆ A
     modelling one program only is yielded at once.  Elsewhere, tables
     with one bit per X ⊆ Y hold F, the Xs failing a live shared rule, and
@@ -189,18 +193,21 @@ def _differences(p: Program, q: Program, a: int, over: int, maximal: bool) -> It
     ~(F | F_p) and ~(F | F_q) differ, their ``_row_table`` are compared.
     """
     check_capacity(over)
-    shared, *own = ([r for r in rs if not r.pos & r.head] for rs in (p.rules & q.rules, p.rules - q.rules, q.rules - p.rules))
-    if not (own[0] or own[1]):  # the same rules give the same rows
+    rules = [[r for r in rs if not r.pos & (r.head | r.neg)] for rs in (p.rules & q.rules, p.rules - q.rules, q.rules - p.rules)]
+    if not (rules[1] or rules[2]):  # the same rules give the same rows
         return
+    shared, *own = ([(r.pos | r.neg | r.head, r.pos) for r in rs] for rs in rules)
     coord: list[int] = []
     for y in submasks(over):
-        held = [all(r.pos & ~y or r.neg & y or r.head & y for r in rules) for rules in (shared, *own)]
-        if not (held[0] and (held[1] or held[2])):
+        if any(y & m == b for m, b in shared):
             continue
-        if held[1] != held[2] and not y & ~a:  # Y ⊆ A is A-minimal: one row holds Y, the other is empty
+        held = [not any(y & m == b for m, b in masks) for masks in own]
+        if not (held[0] or held[1]):
+            continue
+        if held[0] != held[1] and not y & ~a:  # Y ⊆ A is A-minimal: one row holds Y, the other is empty
             yield y
             continue
-        red, *live = (_live(rules, y) for rules in (shared, *own))
+        red, *live = (_live(rs, y) for rs in rules)
         if not (live[0] or live[1]):  # then both hold Y, and their reducts agree below it
             continue
         positions, tables, (m_p, m_q) = _models_at(y, coord, red, *live)

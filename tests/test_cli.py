@@ -169,6 +169,14 @@ def test_sweep_ok_and_json(capsys):
     assert doc["counterexamples"] == [] and doc["checked"] > 0
 
 
+@pytest.mark.parametrize("prop", ["shift-subset", "shift-difference"])
+def test_sweep_shift_properties_ignore_max_rules(prop, capsys):
+    # one case per family rule, whatever the bound on rules per program
+    for extra in ([], ["--max-rules", "9"]):
+        assert main(["sweep", "--property", prop, "--atoms", "2", *extra]) == 0
+        assert capsys.readouterr().out == f"{prop}: checked 36, 0 counterexamples\n"
+
+
 def test_sweep_without_property_runs_every_property(capsys):
     assert main(["sweep", "--atoms", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()

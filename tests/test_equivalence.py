@@ -282,6 +282,11 @@ def test_decide_horn_bounded_uniform_witness_gap_regression():
     assert decide_horn_rel(p, q, a).equivalent
 
 
+@pytest.mark.parametrize("a", [0, 0b1111, 0b1_0110_0101_0010], ids=["empty", "contiguous", "gapped"])
+def test_fact_contexts_come_by_size_then_by_mask(a):
+    assert list(_fact_contexts(a)) == sorted(submasks(a), key=lambda m: (m.bit_count(), m))
+
+
 def _literal_uniform_witness(p, q, a):
     # the definition: every fact set over `a`, smallest first, each read
     # over every Y up to the first answer set of one side only

@@ -262,8 +262,13 @@ def test_search_matches_the_per_x_row_search_on_structured_families(family, k):
     # coordinate, or {a}, no part of A, stays in P's row, and the equal
     # rows read as different
     ("a :- b.", "a :- b. b :- a."),
+    # a body with `a` and `not a` holds at every Y: at Y = {a} the rule,
+    # shared or one side's own, must not read as failing
+    ("b :- a, not a. a.", "b :- a, not a."),
+    ("a | c. b :- a, not a.", "a | c."),
 ], ids=["one-atom", "shared-tautology", "constraint", "constraint-with-negation",
-        "head-outside-equal", "head-outside", "projection-clears"])
+        "head-outside-equal", "head-outside", "projection-clears",
+        "inconsistent-body-shared", "inconsistent-body-own"])
 def test_search_matches_the_per_x_row_search_on_table_edge_cases(text_p, text_q):
     p, q, uni = pair(text_p, text_q)
     _check_against_row_search(p, q, *submasks(uni.full_mask))
