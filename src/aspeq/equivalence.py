@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Optional
 from .semantics import (
     _differences,
     _horn_closure,
+    _literals,
     _row,
     check_capacity,
     is_answer_set,
@@ -219,7 +220,7 @@ def _generic_witness(p: Program, q: Program, mode: str, a: int, kind: str) -> Wi
 def _strong_witness(p: Program, q: Program, a: int, y: int) -> Witness:
     # the context of `build_strong_witness` at `y`, the least Y where the A-SE-models differ
     for first, second, side in ((p, q, "left"), (q, p, "right")):
-        row = set(_row(first, a, y))
+        row = set(_row(_literals(first.rules), a, y, False, []))
         if not row:
             continue
         if not is_model(y, second):

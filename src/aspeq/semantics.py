@@ -10,16 +10,20 @@ A row lists the X of the A-SE-models (X, Y) of a program at one Y, as the
 models are defined: Y is an A-minimal model of the reduct and the X are
 alphabet parts below it.  It is read from one truth table, one bit per
 X ⊆ Y, of the Xs modelling the reduct (``_row_table``), at every
-alphabet.  The listings join the rows of every Y in ascending order.
-``_differences``, the one row search, yields each Y at which two
-programs' rows differ, ascending, building the tables only where an
-unshared rule can tell them apart.  ``decide`` and its uniform witness
+alphabet; the Xs failing one rule form its cube (``_cubes``).  The
+listings join the rows of every Y in ascending order, on one list of
+coordinate tables.  ``_differences``, the one row search, yields each Y
+at which two programs' rows differ, ascending: it builds P's and Q's own
+tables first, skips Y when they agree, and ORs in the shared cubes only
+until they cover where the two differ.  ``decide`` and its uniform witness
 read it lazily; SE-/UE-consequence and ``check_shift_safe`` ask its
 first Y (``_first_difference``).
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import Program, Rule, Universe, bits, project
@@ -125,25 +129,42 @@ def answer_sets(p: Program) -> list[int]:
     return [y for y in submasks(var) if is_answer_set(y, p)]
 
 
-def _live(rules: Iterable[Rule], y: int) -> list[tuple[int, int]]:
-    # a rule whose body fails at Y holds at every X ⊆ Y, one whose body meets its head everywhere
-    return [(r.pos, r.head & y) for r in rules if not (r.pos & r.head or r.pos & ~y or r.neg & y)]
+def _literals(rules: Iterable[Rule]) -> list[tuple[int, int, int, list[int], list[int]]]:
+    """Each rule that can fail, read once per search: its body mask
+    pos | neg, its positive body, its head, and the atoms of its positive
+    body and of its head.  Its body holds at Y iff Y ∩ (pos | neg) = pos,
+    and it fails there iff also Y misses its head.  A rule whose positive
+    body meets its head or its negative body holds at every Y and is
+    dropped."""
+    return [(r.pos | r.neg, r.pos, r.head, list(bits(r.pos)), list(bits(r.head)))
+            for r in rules if not r.pos & (r.head | r.neg)]
 
 
-def _models_at(y: int, coord: list[int], red: list[tuple[int, int]], *live: list[tuple[int, int]]) -> tuple[list[int], list[int], list[int]]:
-    """Y's atoms, its coordinate tables, and the Xs ⊆ Y modelling the
-    reduct whose live cubes are ``red`` plus each list of ``live``.  Table
-    j of ``coord`` holds the Xs (bit k for the k-th in ascending order)
-    with Y's j-th atom; it grows in place, so one list serves a Y loop."""
-    positions = list(bits(y))
-    while len(coord) < len(positions):  # one more coordinate doubles every table
+def _tables_at(y: int, coord: list[int]) -> tuple[dict[int, int], int]:
+    """Each atom of Y with its coordinate table, and the full table.  Table j
+    of ``coord`` holds the Xs ⊆ Y (bit k for the k-th in ascending order)
+    with Y's j-th atom, and bits past the full table; it grows in place, so
+    one list serves a Y loop."""
+    n = y.bit_count()
+    while len(coord) < n:  # one more coordinate doubles every table
         w = 1 << len(coord)
         coord[:] = [e | e << w for e in coord] + [((1 << w) - 1) << w]
-    full = (1 << (1 << len(positions))) - 1
-    tables = [e & full for e in coord[:len(positions)]]
-    at = dict(zip(positions, tables))
-    f = _failing(red, at, full)
-    return positions, tables, [full & ~(f | _failing(rules, at, full)) for rules in live]
+    return dict(zip(bits(y), coord)), (1 << (1 << n)) - 1
+
+
+def _cubes(lits: list[tuple[int, int, int, list[int], list[int]]], y: int, at: dict[int, int], full: int) -> Iterator[int]:
+    """The cube of each rule of ``lits`` whose body holds at Y, in order:
+    the Xs ⊆ Y failing it, the tables ``at`` of its positive body ANDed
+    with the complements of those of its head atoms in Y."""
+    for body, pos, _, pos_atoms, head_atoms in lits:
+        if y & body == pos:
+            t = full
+            for i in pos_atoms:
+                t &= at[i]
+            for i in head_atoms:
+                if y >> i & 1:
+                    t &= ~at[i]
+            yield t
 
 
 def _row_table(models: int, tables: list[int], off: int, maximal: bool) -> int:
@@ -165,13 +186,15 @@ def _row_table(models: int, tables: list[int], off: int, maximal: bool) -> int:
     return s | 1 << n
 
 
-def _row(p: Program, a: int, y: int, maximal: bool = False) -> list[int]:
-    """The X of the A-SE-models ``(X, Y)`` of ``p`` at ``y`` (with
-    ``maximal``, the A-UE-models), ascending with ``y`` last; empty unless
-    ``y`` models ``p`` and no ``y' ⊊ y`` agreeing on ``a`` models the reduct.
-    With ``a`` covering ``y`` these are the SE- and UE-models at ``y``."""
-    positions, tables, (models,) = _models_at(y, [], [], _live(p.rules, y))
-    t = _row_table(models, tables, project(y & ~a, positions), maximal)
+def _row(lits: list[tuple[int, int, int, list[int], list[int]]], a: int, y: int, maximal: bool, coord: list[int]) -> list[int]:
+    """The X of the A-SE-models ``(X, Y)`` at ``y`` (with ``maximal``, the
+    A-UE-models) of the program whose ``_literals`` are ``lits``, ascending
+    with ``y`` last; empty unless ``y`` models it and no ``y' ⊊ y`` agreeing
+    on ``a`` models the reduct.  With ``a`` covering ``y`` these are the SE-
+    and UE-models at ``y``.  ``coord`` is the list of ``_tables_at``."""
+    at, full = _tables_at(y, coord)
+    positions = list(bits(y))
+    t = _row_table(full & ~reduce(or_, _cubes(lits, y, at, full), 0), coord[:len(positions)], project(y & ~a, positions), maximal)
     return [x for k, x in enumerate(submasks(y)) if t >> k & 1]
 
 
@@ -181,57 +204,60 @@ def _differences(p: Program, q: Program, a: int, over: int, maximal: bool) -> It
 
     A row at Y reads only whether Y models the program and which X ⊆ Y
     model its reduct, so only the rules that the programs do not share
-    tell the rows apart.  A rule whose positive body meets its head or its
-    negative body holds at every Y and is dropped; each other rule becomes
-    a mask pos | neg | head and fails at Y exactly when Y ∩ mask = pos.  A
+    tell the rows apart.  Each rule is read into its ``_literals`` once.  A
     Y is skipped at its first failing shared rule, so only a model of the
     shared rules tests the unshared ones; it is skipped too when it fails
     both programs, or satisfies the body of no unshared rule; a Y ⊆ A
-    modelling one program only is yielded at once.  Elsewhere, tables
-    with one bit per X ⊆ Y hold F, the Xs failing a live shared rule, and
-    F_s, those failing a live unshared rule of side s.  Where the models
-    ~(F | F_p) and ~(F | F_q) differ, their ``_row_table`` are compared.
+    modelling one program only is yielded at once.  Elsewhere, tables with
+    one bit per X ⊆ Y hold F_s, the Xs failing a live unshared rule of side
+    s, and F, those failing a live shared rule.  The models ~(F | F_p) and
+    ~(F | F_q) differ exactly on (F_p ^ F_q) & ~F, so Y is skipped when
+    F_p = F_q.  Else the shared cubes are ORed into F one at a time, those
+    of rules inside an unshared rule first (such a cube covers that rule's),
+    and Y is skipped as soon as F covers F_p ^ F_q.  Only a difference that
+    survives every shared cube runs ``_row_table`` on both models.
     """
     check_capacity(over)
-    rules = [[r for r in rs if not r.pos & (r.head | r.neg)] for rs in (p.rules & q.rules, p.rules - q.rules, q.rules - p.rules)]
-    if not (rules[1] or rules[2]):  # the same rules give the same rows
+    shared, own = p.rules & q.rules, p.rules ^ q.rules
+    if len(shared) > 1:  # the rules inside an unshared rule first: their cubes cover that rule's
+        shared = sorted(shared, key=lambda r: all(r.pos & ~o.pos or r.neg & ~o.neg or r.head & ~o.head for o in own))
+    shared, own_p, own_q = (_literals(rs) for rs in (shared, p.rules - q.rules, q.rules - p.rules))
+    if not (own_p or own_q):  # the same rules give the same rows
         return
-    shared, *own = ([(r.pos | r.neg | r.head, r.pos) for r in rs] for rs in rules)
+    fails, *own_fails = ([(body | head, pos) for body, pos, head, _, _ in lits] for lits in (shared, own_p, own_q))
+    bodies = [(body, pos) for body, pos, _, _, _ in own_p + own_q]
     coord: list[int] = []
     for y in submasks(over):
-        if any(y & m == b for m, b in shared):
+        if any(y & m == b for m, b in fails):
             continue
-        held = [not any(y & m == b for m, b in masks) for masks in own]
+        held = [not any(y & m == b for m, b in masks) for masks in own_fails]
         if not (held[0] or held[1]):
             continue
         if held[0] != held[1] and not y & ~a:  # Y ⊆ A is A-minimal: one row holds Y, the other is empty
             yield y
             continue
-        red, *live = (_live(rs, y) for rs in rules)
-        if not (live[0] or live[1]):  # then both hold Y, and their reducts agree below it
+        if not any(y & m == b for m, b in bodies):  # then both hold Y, and their reducts agree below it
             continue
-        positions, tables, (m_p, m_q) = _models_at(y, coord, red, *live)
-        if m_p != m_q:  # else the rows agree too
-            off = project(y & ~a, positions)
-            if _row_table(m_p, tables, off, maximal) != _row_table(m_q, tables, off, maximal):
+        at, full = _tables_at(y, coord)
+        f_p, f_q = (reduce(or_, _cubes(lits, y, at, full), 0) for lits in (own_p, own_q))
+        d = f_p ^ f_q  # where the models differ while F is empty
+        if not d:
+            continue
+        f = 0
+        for c in _cubes(shared, y, at, full):
+            f |= c
+            if not d & ~f:  # the models agree, and so do the rows
+                break
+        else:
+            positions = list(bits(y))
+            tables, off = coord[:len(positions)], project(y & ~a, positions)
+            if _row_table(full & ~(f | f_p), tables, off, maximal) != _row_table(full & ~(f | f_q), tables, off, maximal):
                 yield y
 
 
 def _first_difference(p: Program, q: Program, a: int, over: int, maximal: bool) -> Optional[int]:
     """The least Y of ``_differences``, or None."""
     return next(_differences(p, q, a, over, maximal), None)
-
-
-def _failing(rules: list[tuple[int, int]], at: dict[int, int], full: int) -> int:
-    """The OR of the cubes of ``rules``, pairs of a positive body and a disjoint
-    head ∩ Y: the AND of ``at`` over the body and of ``~at`` over the head."""
-    f = 0
-    for b, h in rules:
-        t = full
-        for i in bits(b | h):
-            t &= at[i] if b >> i & 1 else ~at[i]
-        f |= t
-    return f
 
 
 def _strict_down(s: int, tables: list[int]) -> int:
@@ -249,7 +275,8 @@ def _ase_pairs(p: Program, a: int, over: int, maximal: bool = False) -> list[tup
     """The pairs ``(x, y)`` of the rows of ``p`` over ``over`` in ``(y, x)``
     order: the A-SE-models, or with ``maximal`` the A-UE-models.
     ``over`` must cover var(p); it and the capacity are checked here."""
-    return [(x, y) for y in submasks(_checked_over(p, over)) for x in _row(p, a, y, maximal)]
+    lits, coord = _literals(p.rules), []
+    return [(x, y) for y in submasks(_checked_over(p, over)) for x in _row(lits, a, y, maximal, coord)]
 
 
 def is_horn(p: Program) -> bool:

@@ -13,7 +13,7 @@ from aspeq.equivalence import decide
 from aspeq.harness import ATOM_NAMES, family_programs
 from aspeq.relativized import ASEPair, ase_models, aue_models, is_ase_model, valid_shape
 from aspeq.se import is_se_model, se_models, ue_models
-from aspeq.semantics import CapacityError, _ase_pairs, _differences, _first_difference, _row, _strict_down, submasks
+from aspeq.semantics import CapacityError, _ase_pairs, _differences, _first_difference, _literals, _row, _strict_down, submasks
 from aspeq.syntax import Program, Rule, Universe, facts_program
 
 from conftest import chain, pair, per_x_maximal_row, per_x_row, prog, random_pair, row_differences
@@ -94,9 +94,10 @@ def test_rows_match_the_per_x_rows_on_the_families(atoms, max_rules):
     # the table rows under the listings and the strong witness
     over, progs = _family(atoms, max_rules)
     for p in progs:
+        lits = _literals(p.rules)
         for a, y in product(submasks(over), repeat=2):
-            assert _row(p, a, y) == per_x_row(p, a, y), (p.rules, a, y)
-            assert _row(p, a, y, True) == per_x_maximal_row(p, a, y), (p.rules, a, y)
+            assert _row(lits, a, y, False, []) == per_x_row(p, a, y), (p.rules, a, y)
+            assert _row(lits, a, y, True, []) == per_x_maximal_row(p, a, y), (p.rules, a, y)
 
 
 def test_pair_kernel_checks_its_arguments_at_the_call():
@@ -266,9 +267,17 @@ def test_search_matches_the_per_x_row_search_on_structured_families(family, k):
     # shared or one side's own, must not read as failing
     ("b :- a, not a. a.", "b :- a, not a."),
     ("a | c. b :- a, not a.", "a | c."),
+    # both sides' own rules are live with equal cubes at every Y without d
+    # (F_p = F_q), and only P's at the Ys with d
+    ("a | b. c :- a.", "a | b. c :- a, not d."),
+    # Q's own rule is a weakened copy of a shared rule, whose cube covers it
+    ("a | b. c :- a.", "a | b. c :- a. c :- a, b, not d."),
+    # at Y = {a, b, c}, X = {b} fails Q's own rule and no shared rule
+    ("a | b. c :- a.", "a | b. c :- a. c :- b."),
 ], ids=["one-atom", "shared-tautology", "constraint", "constraint-with-negation",
         "head-outside-equal", "head-outside", "projection-clears",
-        "inconsistent-body-shared", "inconsistent-body-own"])
+        "inconsistent-body-shared", "inconsistent-body-own",
+        "equal-own-cubes", "covered-by-one-shared", "survives-shared"])
 def test_search_matches_the_per_x_row_search_on_table_edge_cases(text_p, text_q):
     p, q, uni = pair(text_p, text_q)
     _check_against_row_search(p, q, *submasks(uni.full_mask))
