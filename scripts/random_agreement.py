@@ -21,7 +21,8 @@ For each seeded random pair the script compares:
   most two atoms),
 * the Horn deciders against the generic enumerator on Horn pairs,
 * ase_check_normal / aue_check_hcf against ase_models / aue_models on
-  every candidate pair of a random normal / head-cycle-free program,
+  every candidate pair of a random normal / head-cycle-free program (the
+  pairs that equivalence._pairs_by_check lists),
 * check_shift_safe against the SE-models by definition at the full
   alphabet and against the unary-context signature at alphabets of at most
   two atoms, on programs drawn from a seed stream of their own; neither
@@ -40,6 +41,7 @@ import sys
 import time
 
 from aspeq.equivalence import (
+    _pairs_by_check,
     brute_force_oracle,
     decide_horn_bounded,
     decide_horn_rel,
@@ -48,7 +50,7 @@ from aspeq.equivalence import (
     decide_rel_uniform,
 )
 from aspeq.harness import GeneratorConfig, _program_se, random_program, uniform_signature, unary_signature
-from aspeq.relativized import ASEPair, ase_check_normal, ase_models, aue_check_hcf, aue_models
+from aspeq.relativized import ase_check_normal, ase_models, aue_check_hcf, aue_models
 from aspeq.se import decide_strong, decide_uniform
 from aspeq.semantics import submasks
 from aspeq.syntax import Program, Rule, Universe
@@ -87,15 +89,6 @@ def near_program(p: Program, q: Program, rng: random.Random, atoms: int) -> Prog
 def witness_key(v):
     w = v.witness
     return None if w is None else (w.context.rules, w.distinguishing, w.side)
-
-
-def candidate_pairs(a: int, over: int):
-    """Every pair (x, y) over ``over`` with x = y or x strictly inside y ∩ a."""
-    for y in submasks(over):
-        yield ASEPair(y, y, a)
-        for x in submasks(y & a):
-            if x != y & a:
-                yield ASEPair(x, y, a)
 
 
 def main(argv=None) -> int:
@@ -183,7 +176,7 @@ def main(argv=None) -> int:
             ma, over = mrng.randint(0, muni.full_mask), muni.full_mask
             models = set(listing(mp, ma, over))
             checks += 1
-            if any(check(mp, pr, over) != (pr in models) for pr in candidate_pairs(ma, over)):
+            if set(_pairs_by_check(ma, over, lambda pr: check(mp, pr, over))) != models:
                 disagreements += 1
                 print(f"{check.__name__} disagreement at seed {seed}, alphabet {muni.fmt(ma)}")
 

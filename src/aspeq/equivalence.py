@@ -175,7 +175,8 @@ def _pairs_by_check(a: int, over: int, member) -> list[ASEPair]:
 
     No decider uses it: it lists the pairs that a per-pair membership test
     (``ase_check_normal``, ``aue_check_hcf``) accepts, for comparison with
-    the enumerated models.  The traced benchmark run wraps it by name.
+    the enumerated models in the tests and ``scripts/random_agreement.py``.
+    The traced benchmark run wraps it by name.
     """
     check_capacity(over)
     out = []

@@ -306,15 +306,7 @@ def _small_alphabet(p, uni, over):
 
 
 def _model_sets(p, uni, over):
-    # the hierarchy reads the first three, the degenerate alphabets all six
-    return (
-        frozenset(answer_sets(p)),
-        frozenset(se_models(p, over)),
-        frozenset(ue_models(p, over)),
-        frozenset(ase_models(p, 0, over)),
-        frozenset(ase_models(p, over, over)),
-        frozenset(aue_models(p, over, over)),
-    )
+    return frozenset(answer_sets(p)), frozenset(se_models(p, over)), frozenset(ue_models(p, over))
 
 
 def _hierarchy(p, q, dp, dq, uni, over):
@@ -326,38 +318,36 @@ def _hierarchy(p, q, dp, dq, uni, over):
     return None
 
 
-def _uniform_data(p, uni, over):
-    return frozenset(ue_models(p, over)), uniform_signature(p, over, over)
-
-
-def _uniform_oracle(p, q, dp, dq, uni, over):
-    if (dp[0] == dq[0]) != (dp[1] == dq[1]):
-        return f"uniform decider disagrees with fact-set oracle: {p.rules} vs {q.rules}"
+def _agree(p, q, dp, dq, uni, over):
+    # dp and dq map each counterexample text, in order, to the keys of p and
+    # of q whose equalities must all agree
+    for text, keys in dp.items():
+        if len({k == l for k, l in zip(keys, dq[text])}) > 1:
+            return f"{text}: {p.rules} vs {q.rules}"
     return None
+
+
+def _uniform_data(p, uni, over):
+    return {"uniform decider disagrees with fact-set oracle": (frozenset(ue_models(p, over)),
+                                                               uniform_signature(p, over, over))}
 
 
 def _unary_data(p, uni, over):
-    return {a: (frozenset(ase_models(p, a, over)), unary_signature(p, a, over)) for a in submasks(over)}
-
-
-def _unary_oracle(p, q, dp, dq, uni, over):
-    for a in dp:
-        if (dp[a][0] == dq[a][0]) != (dp[a][1] == dq[a][1]):
-            return f"rel-strong decider disagrees with unary oracle at {uni.fmt(a)}: {p.rules} vs {q.rules}"
-    return None
+    return {f"rel-strong decider disagrees with unary oracle at {uni.fmt(a)}":
+            (frozenset(ase_models(p, a, over)), unary_signature(p, a, over)) for a in submasks(over)}
 
 
 def _collapse_data(p, uni, over):
     kinds = (ase_models, aue_models, a_minimal_models)
-    return {a: tuple(frozenset(kind(p, a, over)) for kind in kinds) for a in submasks(over)}
+    return {f"positive collapse fails at {uni.fmt(a)}": tuple(frozenset(kind(p, a, over)) for kind in kinds)
+            for a in submasks(over)}
 
 
-def _positive_collapse(p, q, dp, dq, uni, over):
-    for a in dp:
-        s, u, m = (dp[a][k] == dq[a][k] for k in range(3))
-        if not (s == u == m):
-            return f"positive collapse fails at {uni.fmt(a)}: {p.rules} vs {q.rules}"
-    return None
+def _degenerate_data(p, uni, over):
+    ordinary, strong, uniform = _model_sets(p, uni, over)
+    return {"empty alphabet differs from ordinary": (frozenset(ase_models(p, 0, over)), ordinary),
+            "full alphabet differs from strong": (frozenset(ase_models(p, over, over)), strong),
+            "full alphabet differs from uniform": (frozenset(aue_models(p, over, over)), uniform)}
 
 
 def _shift_subset(r, se, shifted, over):
@@ -368,16 +358,6 @@ def _shift_difference(r, se, shifted, over):
     return None if shifted - se == set(s_r(r, over)) else f"SE difference mismatch for rule {r}"
 
 
-def _degenerate(p, q, dp, dq, uni, over):
-    if (dp[3] == dq[3]) != (dp[0] == dq[0]):
-        return f"empty alphabet differs from ordinary: {p.rules} vs {q.rules}"
-    if (dp[4] == dq[4]) != (dp[1] == dq[1]):
-        return f"full alphabet differs from strong: {p.rules} vs {q.rules}"
-    if (dp[5] == dq[5]) != (dp[2] == dq[2]):
-        return f"full alphabet differs from uniform: {p.rules} vs {q.rules}"
-    return None
-
-
 # property name -> (case source, check): `cases(atom_count, max_rules)`
 # yields the arguments of `check`, which returns a counterexample or None
 PROPERTIES: dict[str, tuple[Callable[[int, int], Iterable[tuple]], Callable[..., Optional[str]]]] = {
@@ -386,11 +366,10 @@ PROPERTIES: dict[str, tuple[Callable[[int, int], Iterable[tuple]], Callable[...,
     "ase-answer-sets": (_programs, _ase_answer_sets),
     "small-alphabet-collapse": (_programs, _small_alphabet),
     "hierarchy": (partial(_pairs, _model_sets), _hierarchy),
-    "uniform-oracle": (partial(_pairs, _uniform_data), _uniform_oracle),
-    "unary-oracle": (partial(_pairs, _unary_data), _unary_oracle),
-    "positive-collapse": (partial(_pairs, _collapse_data, keep=lambda p: all(r.neg == 0 for r in p.rules)),
-                          _positive_collapse),
+    "uniform-oracle": (partial(_pairs, _uniform_data), _agree),
+    "unary-oracle": (partial(_pairs, _unary_data), _agree),
+    "positive-collapse": (partial(_pairs, _collapse_data, keep=lambda p: all(r.neg == 0 for r in p.rules)), _agree),
     "shift-subset": (_rules, _shift_subset),
     "shift-difference": (_rules, _shift_difference),
-    "degenerate-alphabets": (partial(_pairs, _model_sets), _degenerate),
+    "degenerate-alphabets": (partial(_pairs, _degenerate_data), _agree),
 }

@@ -14,10 +14,10 @@ alphabet; the Xs failing one rule form its cube (``_cubes``).  The
 listings join the rows of every Y in ascending order, on one list of
 coordinate tables.  ``_differences``, the one row search, yields each Y
 at which two programs' rows differ, ascending: it builds P's and Q's own
-tables first, skips Y when they agree, and ORs in the shared cubes only
-until they cover where the two differ.  ``decide`` and its uniform witness
-read it lazily; SE-/UE-consequence and ``check_shift_safe`` ask its
-first Y (``_first_difference``).
+tables first, skips Y when they agree, ORs in the shared cubes only until
+they cover where the two differ, and else compares the two row tables.
+``decide`` and its uniform witness read it lazily; SE-/UE-consequence and
+``check_shift_safe`` ask its first Y (``_first_difference``).
 """
 
 from __future__ import annotations
@@ -207,20 +207,21 @@ def _differences(p: Program, q: Program, a: int, over: int, maximal: bool) -> It
     tell the rows apart.  Each rule is read into its ``_literals`` once.  A
     Y is skipped at its first failing shared rule, so only a model of the
     shared rules tests the unshared ones; it is skipped too when it fails
-    both programs, or satisfies the body of no unshared rule; a Y ⊆ A
-    modelling one program only is yielded at once.  Elsewhere, tables with
-    one bit per X ⊆ Y hold F_s, the Xs failing a live unshared rule of side
-    s, and F, those failing a live shared rule.  The models ~(F | F_p) and
-    ~(F | F_q) differ exactly on (F_p ^ F_q) & ~F, so Y is skipped when
-    F_p = F_q.  Else the shared cubes are ORed into F one at a time, those
-    of rules inside an unshared rule first (such a cube covers that rule's),
-    and Y is skipped as soon as F covers F_p ^ F_q.  Only a difference that
-    survives every shared cube runs ``_row_table`` on both models.
+    both programs, or satisfies the body of no unshared rule.  Elsewhere,
+    tables with one bit per X ⊆ Y hold F_s, the Xs failing a live unshared
+    rule of side s, and F, those failing a live shared rule.  The models
+    ~(F | F_p) and ~(F | F_q) differ exactly on (F_p ^ F_q) & ~F, so Y is
+    skipped when F_p = F_q.  Else the shared cubes are ORed into F one at a
+    time, those of rules inside an unshared rule first (such a cube covers
+    that rule's), and Y is skipped as soon as F covers F_p ^ F_q.  Only a
+    difference that survives every shared cube runs ``_row_table`` on both
+    models, and Y is yielded where the two rows differ.  A Y modelling one
+    program only gets there: its own bit is in F_p ^ F_q and in no cube of F.
     """
     check_capacity(over)
     shared, own = p.rules & q.rules, p.rules ^ q.rules
-    if len(shared) > 1:  # the rules inside an unshared rule first: their cubes cover that rule's
-        shared = sorted(shared, key=lambda r: all(r.pos & ~o.pos or r.neg & ~o.neg or r.head & ~o.head for o in own))
+    # the rules inside an unshared rule first: their cubes cover that rule's
+    shared = sorted(shared, key=lambda r: all(r.pos & ~o.pos or r.neg & ~o.neg or r.head & ~o.head for o in own))
     shared, own_p, own_q = (_literals(rs) for rs in (shared, p.rules - q.rules, q.rules - p.rules))
     if not (own_p or own_q):  # the same rules give the same rows
         return
@@ -230,11 +231,7 @@ def _differences(p: Program, q: Program, a: int, over: int, maximal: bool) -> It
     for y in submasks(over):
         if any(y & m == b for m, b in fails):
             continue
-        held = [not any(y & m == b for m, b in masks) for masks in own_fails]
-        if not (held[0] or held[1]):
-            continue
-        if held[0] != held[1] and not y & ~a:  # Y ⊆ A is A-minimal: one row holds Y, the other is empty
-            yield y
+        if all(any(y & m == b for m, b in masks) for masks in own_fails):  # both rows are empty
             continue
         if not any(y & m == b for m, b in bodies):  # then both hold Y, and their reducts agree below it
             continue

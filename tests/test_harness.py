@@ -207,3 +207,17 @@ def test_every_sweep_shape_stops_at_20_counterexamples(monkeypatch, prop, atoms,
     monkeypatch.setattr(harness, name, broken)
     report = exhaustive_sweep(atoms, prop)
     assert len(report.counterexamples) == 20
+
+
+@pytest.mark.parametrize("prop,name,broken,text", [
+    ("uniform-oracle", "uniform_signature", lambda p, a, over: (), "uniform decider disagrees with fact-set oracle: "),
+    ("unary-oracle", "unary_signature", lambda p, a, over: (), "rel-strong decider disagrees with unary oracle at {"),
+    ("positive-collapse", "a_minimal_models", lambda p, a, over: [], "positive collapse fails at {"),
+    ("degenerate-alphabets", "answer_sets", lambda p: [], "empty alphabet differs from ordinary: "),
+])
+def test_each_agreement_property_reports_a_broken_side(monkeypatch, prop, name, broken, text):
+    # one side of the agreement made constant: the pairs that the other
+    # side tells apart are counterexamples, in the property's own words
+    monkeypatch.setattr(harness, name, broken)
+    report = exhaustive_sweep(1, prop)
+    assert report.counterexamples and report.counterexamples[0].startswith(text), report.counterexamples[:1]

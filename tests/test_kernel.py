@@ -252,6 +252,66 @@ def test_search_matches_the_per_x_row_search_on_structured_families(family, k):
     _check_against_row_search(p, q, 0, uni.mask_of([f"x{i}" for i in range(k)]))
 
 
+def _weakened_copies(rng: random.Random, rules: list[Rule], n: int, k: int) -> list[Rule]:
+    # copies of k of `rules`, each with one extra head atom or body literal
+    out = []
+    for r in rng.sample(rules, min(k, len(rules))):
+        b = 1 << rng.randrange(n)
+        out.append(rng.choice([Rule(r.head | b, r.pos, r.neg), Rule(r.head, r.pos | b, r.neg), Rule(r.head, r.pos, r.neg | b)]))
+    return out
+
+
+def _without_subsumed(p: Program, q: Program) -> tuple[Program, Program]:
+    # each side without the unshared rules that a shared rule subsumes: its
+    # positive body, negative body and head each a subset of theirs
+    shared = p.rules & q.rules
+
+    def kept(rules: frozenset[Rule]) -> frozenset[Rule]:
+        return frozenset(r for r in rules if r in shared or not any(
+            not (s.pos & ~r.pos or s.neg & ~r.neg or s.head & ~r.head) for s in shared))
+    return Program(kept(p.rules), p.universe), Program(kept(q.rules), q.universe)
+
+
+def _subsumed_pairs(seed: int):
+    # se-equal's kind (Q is P plus weakened copies of its rules), then pairs
+    # whose unshared rules mix weakened copies of shared rules, random rules
+    # and weakened copies of those, over 3 to 5 atoms
+    rng = random.Random(seed)
+    for i in range(30):
+        n = 3 + i % 3
+        uni = Universe([f"v{j}" for j in range(n)])
+        shared = [_random_rule(rng, n) for _ in range(rng.randint(1, n + 2))]
+        if i < 10:
+            yield Program(frozenset(shared), uni), Program(frozenset(shared + _weakened_copies(rng, shared, n, 2)), uni)
+            continue
+        sides = []
+        for _ in range(2):
+            own = [_random_rule(rng, n) for _ in range(rng.randint(1, 2))]
+            extra = _weakened_copies(rng, shared, n, rng.randint(1, 2)) + _weakened_copies(rng, own, n, 1)
+            sides.append(Program(frozenset(shared + own + extra), uni))
+        yield tuple(sides)
+    p, q, _ = pair(*_structured_pair("weakened-copies", 3))
+    yield p, q
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_search_ignores_unshared_rules_that_a_shared_rule_subsumes(seed):
+    # such a rule's cube lies inside the shared rule's wherever its body
+    # holds, and a Y failing it fails the shared rule, so dropping it
+    # changes no row, at every alphabet, for both row kinds
+    telling = 0  # pairs that lose a rule and differ somewhere
+    for p, q in _subsumed_pairs(seed):
+        lean_p, lean_q = _without_subsumed(p, q)
+        over, differ = p.var | q.var, False
+        for a in submasks(over):
+            for maximal in (False, True):
+                ys = list(_differences(p, q, a, over, maximal))
+                assert list(_differences(lean_p, lean_q, a, over, maximal)) == ys, (p.rules, q.rules, a, maximal)
+                differ = differ or bool(ys)
+        telling += differ and len(lean_p.rules) + len(lean_q.rules) < len(p.rules) + len(q.rules)
+    assert telling >= 5
+
+
 @pytest.mark.parametrize("text_p,text_q", [
     ("a.", "a :- not a."),  # a one-atom Y, where the tables hold two bits
     ("a :- a. a | b :- a, c. a | b. c :- a, not b.", "a :- a. a | b :- a, c. a | b. c | b :- a."),
